@@ -17,6 +17,11 @@
 //!    speedup ≥ [`GATE_MIN_SPEEDUP`] on at least
 //!    [`GATE_MIN_VARIANTS`] of the four variants.
 //!
+//! Every row also reports `flows`, the exact number of max-flow runs
+//! Step 1's densest-star oracle spent over the run (from the engine
+//! trace): a deterministic work counter that moves only when the
+//! search does, unlike the wall times.
+//!
 //! A third check rides along: **instrumentation overhead**. Every row
 //! now carries a per-phase breakdown plus per-shard Step 1 seconds
 //! (from `EngineConfig::collect_timings`), so the binary also proves
@@ -55,7 +60,8 @@
 use std::time::Instant;
 
 use dsa_core::dist::{
-    run_variant, run_variant_timed, EngineConfig, PhaseTimings, SpannerRun, VariantInstance,
+    run_variant, run_variant_timed, EngineConfig, EngineTrace, PhaseTimings, SpannerRun,
+    VariantInstance,
 };
 use dsa_graphs::gen;
 use dsa_runtime::json::Json;
@@ -257,6 +263,11 @@ fn step1_shard_secs(run: &SpannerRun) -> Vec<f64> {
     sums
 }
 
+/// Step 1 max-flow runs of a traced run (0 without a trace).
+fn flows(run: &SpannerRun) -> u64 {
+    run.trace.as_ref().map_or(0, EngineTrace::flows)
+}
+
 fn secs_array(values: &[f64]) -> String {
     let body: Vec<String> = values.iter().map(|v| format!("{v:.4}")).collect();
     format!("[{}]", body.join(","))
@@ -353,18 +364,27 @@ fn run_gate(args: &Args) -> (String, Vec<String>) {
 
     for (name, instance) in gate_instances() {
         // Identity across shard counts first: the gate times nothing
-        // it has not proven byte-identical.
+        // it has not proven byte-identical. The identity runs are
+        // traced, for the (shard-independent) flow count.
         let (secs, phases, run) = time_gate(&instance);
         assert!(run.converged, "{name}: gate run did not converge");
+        let mut gate_flows = None;
         for shards in GATE_IDENTITY_SHARDS {
             if shards == 1 {
                 continue;
             }
             let cfg = EngineConfig {
                 num_shards: shards,
+                collect_timings: true,
                 ..EngineConfig::seeded(7)
             };
             let other = run_variant(&instance, &cfg);
+            let other_flows = flows(&other);
+            assert!(
+                gate_flows.is_none_or(|f| f == other_flows),
+                "{name}: flow count differs at {shards} shards"
+            );
+            gate_flows = Some(other_flows);
             assert_eq!(
                 other.spanner, run.spanner,
                 "{name}: gate spanner differs at {shards} shards"
@@ -402,7 +422,8 @@ fn run_gate(args: &Args) -> (String, Vec<String>) {
             concat!(
                 "{{\"variant\":\"{}\",\"vertices\":{},\"edges\":{},",
                 "\"seconds\":{:.4},\"baseline_seconds\":{},",
-                "\"single_core_speedup\":{},\"iterations\":{},\"phases\":{}}}"
+                "\"single_core_speedup\":{},\"iterations\":{},\"flows\":{},",
+                "\"phases\":{}}}"
             ),
             name,
             instance.num_vertices(),
@@ -411,6 +432,7 @@ fn run_gate(args: &Args) -> (String, Vec<String>) {
             base.map_or("null".to_owned(), |b| format!("{b:.4}")),
             speedup.map_or("null".to_owned(), |s| format!("{s:.2}")),
             run.iterations,
+            gate_flows.unwrap_or(0),
             phases_json(&phases),
         ));
         baseline_rows.push_str(&format!(
@@ -426,9 +448,10 @@ fn run_gate(args: &Args) -> (String, Vec<String>) {
             phases_json(&phases),
         ));
         eprintln!(
-            "exp_engine_scaling: gate {name:>13} n={:<4} m={:<6} {secs:.3}s{}",
+            "exp_engine_scaling: gate {name:>13} n={:<4} m={:<6} flows={:<6} {secs:.3}s{}",
             instance.num_vertices(),
             instance.num_edges(),
+            gate_flows.unwrap_or(0),
             speedup.map_or(String::new(), |s| format!(" ({s:.2}x vs baseline)")),
         );
     }
@@ -543,6 +566,11 @@ fn main() {
                 "{name}: iteration stats differ at {shards} shards"
             );
             assert_eq!(run.star_fallbacks, base_run.star_fallbacks);
+            assert_eq!(
+                flows(&run),
+                flows(&base_run),
+                "{name}: flow count differs at {shards} shards"
+            );
             if shards == 4 {
                 t4 = secs;
             }
@@ -554,7 +582,7 @@ fn main() {
                 concat!(
                     "{{\"variant\":\"{}\",\"vertices\":{},\"edges\":{},",
                     "\"shards\":{},\"seconds\":{:.4},\"speedup\":{:.2},",
-                    "\"iterations\":{},\"phases\":{},",
+                    "\"iterations\":{},\"flows\":{},\"phases\":{},",
                     "\"step1_shard_seconds\":{}}}"
                 ),
                 name,
@@ -564,6 +592,7 @@ fn main() {
                 secs,
                 speedup,
                 run.iterations,
+                flows(&run),
                 phases_json(&phases),
                 secs_array(&step1_shard_secs(&run)),
             ));

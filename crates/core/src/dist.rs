@@ -1020,6 +1020,44 @@ mod tests {
         }
     }
 
+    /// Step 1 max-flow runs of one fixed run per variant, pinned
+    /// exactly: the count is a deterministic function of the input, so
+    /// a regression in the densest-star search fails here without any
+    /// timing noise. Also checks the count is shard-independent.
+    #[test]
+    fn step1_flow_counts_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let g = gen::gnp_connected(30, 0.3, &mut rng);
+        let w = gen::random_weights(g.num_edges(), 1, 6, &mut rng);
+        let (clients, servers) = gen::client_server_split(&g, 0.6, 0.6, &mut rng);
+        let dg = gen::random_digraph_connected(24, 0.2, &mut rng);
+        let flows = |variant: &dyn Fn(&EngineConfig) -> SpannerRun| -> u64 {
+            let counts: Vec<u64> = [1usize, 3]
+                .iter()
+                .map(|&shards| {
+                    let cfg = EngineConfig {
+                        collect_timings: true,
+                        num_shards: shards,
+                        ..EngineConfig::seeded(9)
+                    };
+                    let run = variant(&cfg);
+                    assert!(run.converged);
+                    run.trace.expect("trace requested").flows()
+                })
+                .collect();
+            assert_eq!(counts[0], counts[1], "flow count depends on shards");
+            counts[0]
+        };
+        let undirected = flows(&|cfg| min_2_spanner(&g, cfg));
+        let directed = flows(&|cfg| min_2_spanner_directed(&dg, cfg));
+        let weighted = flows(&|cfg| min_2_spanner_weighted(&g, &w, cfg));
+        let client_server = flows(&|cfg| min_2_spanner_client_server(&g, &clients, &servers, cfg));
+        assert_eq!(
+            [undirected, directed, weighted, client_server],
+            [141, 111, 206, 101]
+        );
+    }
+
     #[test]
     fn weighted_survives_astronomical_weights() {
         // Regression: weights beyond 2^62 used to drive the threshold

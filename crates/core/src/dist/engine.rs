@@ -331,6 +331,12 @@ pub struct IterationTiming {
     pub step4: SectionTiming,
     /// Coverage maintenance on the coordinating thread.
     pub coverage: Duration,
+    /// Max-flow runs of Step 1's densest-star oracle calls
+    /// ([`Densest::flows`](dsa_flow::Densest::flows) summed over the
+    /// recomputed vertices). A deterministic work counter: it depends
+    /// only on the input and the result-relevant configuration, never
+    /// on shards or clocks.
+    pub flows: u64,
 }
 
 /// The full per-iteration timing trace of a run, collected when
@@ -341,6 +347,13 @@ pub struct EngineTrace {
     /// One entry per executed iteration (`iterations.len()` equals
     /// `SpannerRun::stats.len()`).
     pub iterations: Vec<IterationTiming>,
+}
+
+impl EngineTrace {
+    /// Step 1 max-flow runs over the whole run.
+    pub fn flows(&self) -> u64 {
+        self.iterations.iter().map(|it| it.flows).sum()
+    }
 }
 
 /// The `(r_v, vertex, candidate index)` key an item backs in Step 4:
@@ -542,18 +555,26 @@ pub fn run_engine_timed<V: SpannerVariant + Sync>(
         // Step 1 (sharded): per-vertex star spaces and densest-star
         // densities — one flow-oracle call per stale vertex, the
         // dominant cost of an iteration.
-        // A vertex's star space plus the densest star found in it.
-        type StarState = (LocalStars, Option<(Vec<bool>, Ratio)>);
+        // A vertex's star space, the densest star found in it, and the
+        // max-flow runs that took.
+        type StarState = (LocalStars, Option<(Vec<bool>, Ratio)>, u32);
         let t_step1 = Instant::now(); // dsa-lint: allow(DSA-D002, reason="step timing is trace-only diagnostics, never encoded output")
         let step1_shards: Vec<Duration>;
+        let mut step1_flows = 0u64;
         if locals.is_empty() {
             let (per_vertex, shard_times): (Vec<StarState>, _) = sharded_map(n, shards, |v| {
                 let ls = variant.local_stars(v, &uncovered);
-                let best = ls.densest(None);
-                (ls, best)
+                let (best, flows) = ls.densest_counted(None);
+                (ls, best, flows)
             });
             step1_shards = shard_times;
-            (locals, best) = per_vertex.into_iter().unzip();
+            locals = Vec::with_capacity(n);
+            best = Vec::with_capacity(n);
+            for (ls, b, flows) in per_vertex {
+                locals.push(ls);
+                best.push(b);
+                step1_flows += u64::from(flows);
+            }
             rho = best
                 .iter()
                 .map(|b| b.as_ref().map_or_else(Ratio::zero, |&(_, d)| d))
@@ -571,13 +592,14 @@ pub fn run_engine_timed<V: SpannerVariant + Sync>(
                         return None;
                     }
                     let ls = variant.local_stars(v, uncovered);
-                    let best = ls.densest(None);
-                    Some((ls, best))
+                    let (best, flows) = ls.densest_counted(None);
+                    Some((ls, best, flows))
                 })
             };
             step1_shards = shard_times;
             for (v, refreshed) in refreshed.into_iter().enumerate() {
-                if let Some((ls, b)) = refreshed {
+                if let Some((ls, b, flows)) = refreshed {
+                    step1_flows += u64::from(flows);
                     locals[v] = ls;
                     rho[v] = b.as_ref().map_or_else(Ratio::zero, |&(_, d)| d);
                     best[v] = b;
@@ -618,6 +640,7 @@ pub fn run_engine_timed<V: SpannerVariant + Sync>(
                         shards: step1_shards,
                     },
                     coverage: cov_wall,
+                    flows: step1_flows,
                     ..IterationTiming::default()
                 });
             }
@@ -828,6 +851,7 @@ pub fn run_engine_timed<V: SpannerVariant + Sync>(
                     shards: step4_shards,
                 },
                 coverage: cov_wall,
+                flows: step1_flows,
             });
         }
         stats.push(IterationStats {

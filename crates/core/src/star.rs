@@ -253,11 +253,17 @@ impl LocalStars {
     /// Zero-weight leaves in range are always included — they can only
     /// increase the density (the weighted variant's weight-0 edges).
     pub fn densest(&self, within: Option<&[bool]>) -> Option<(Vec<bool>, Ratio)> {
+        self.densest_counted(within).0
+    }
+
+    /// [`LocalStars::densest`] plus the number of max-flow runs the
+    /// oracle spent on it (0 when it was not called).
+    pub fn densest_counted(&self, within: Option<&[bool]>) -> (Option<(Vec<bool>, Ratio)>, u32) {
         let allowed = |i: usize| within.is_none_or(|w| w[i]);
         // Build the local instance over allowed leaves.
         let idx: Vec<usize> = (0..self.leaves.len()).filter(|&i| allowed(i)).collect();
         if idx.is_empty() {
-            return None;
+            return (None, 0);
         }
         let back: Vec<usize> = {
             let mut b = vec![usize::MAX; self.leaves.len()];
@@ -284,9 +290,11 @@ impl LocalStars {
             .and_then(|w2| w2.checked_mul(2 * total_m.max(1)))
             .is_some_and(|bound| bound <= i64::MAX as u128);
         if !oracle_safe {
-            return self.densest_pair(within);
+            return (self.densest_pair(within), 0);
         }
-        let best = densest_weighted_subgraph(&weights, &edges)?;
+        let Some(best) = densest_weighted_subgraph(&weights, &edges) else {
+            return (None, 0);
+        };
         let mut member = vec![false; self.leaves.len()];
         for &k in &best.vertices {
             member[idx[k]] = true;
@@ -298,7 +306,7 @@ impl LocalStars {
             }
         }
         let density = self.density_of(&member).unwrap_or(best.density);
-        Some((member, density))
+        (Some((member, density)), best.flows)
     }
 
     /// Overflow fallback for [`LocalStars::densest`]: the densest

@@ -1,7 +1,5 @@
 //! Dinic's max-flow algorithm on small integer-capacity networks.
 
-use std::collections::VecDeque;
-
 /// A flow network with integer capacities, solved with Dinic's
 /// algorithm.
 ///
@@ -9,6 +7,11 @@ use std::collections::VecDeque;
 /// densities to integers, and the magnitudes involved (degree × density
 /// denominator) stay far below `i64::MAX` for any graph this workspace
 /// handles.
+///
+/// A network can be solved repeatedly: build the topology once, then
+/// before each [`MaxFlow::max_flow`] rewrite every capacity with
+/// [`MaxFlow::set_capacity`], which also clears the previous flow.
+/// Solving allocates nothing.
 ///
 /// # Example
 ///
@@ -29,9 +32,11 @@ pub struct MaxFlow {
     to: Vec<usize>,
     cap: Vec<i64>,
     adj: Vec<Vec<usize>>,
-    // Scratch for Dinic.
+    // Scratch for Dinic. After `max_flow`, `level[v] >= 0` exactly for
+    // the nodes the final (failed) BFS reached: the residual source side.
     level: Vec<i32>,
     iter: Vec<usize>,
+    queue: Vec<usize>,
 }
 
 impl MaxFlow {
@@ -41,8 +46,9 @@ impl MaxFlow {
             to: Vec::new(),
             cap: Vec::new(),
             adj: vec![Vec::new(); n],
-            level: vec![0; n],
+            level: vec![-1; n],
             iter: vec![0; n],
+            queue: Vec::with_capacity(n),
         }
     }
 
@@ -74,6 +80,26 @@ impl MaxFlow {
         id
     }
 
+    /// Sets the capacity of edge `id` (as returned by
+    /// [`MaxFlow::add_edge`]) to `cap` and removes any flow on it: the
+    /// forward residual becomes `cap`, the reverse residual 0. Rewriting
+    /// every edge this way resets the network for another
+    /// [`MaxFlow::max_flow`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap < 0` or `id` is not an edge index returned by
+    /// [`MaxFlow::add_edge`].
+    pub fn set_capacity(&mut self, id: usize, cap: i64) {
+        assert!(cap >= 0, "negative capacity");
+        assert!(
+            id.is_multiple_of(2) && id < self.to.len(),
+            "not an edge index"
+        );
+        self.cap[id] = cap;
+        self.cap[id + 1] = 0;
+    }
+
     /// Flow currently on edge `id` (residual bookkeeping: flow equals the
     /// capacity of the reverse edge).
     pub fn flow_on(&self, id: usize) -> i64 {
@@ -82,15 +108,17 @@ impl MaxFlow {
 
     fn bfs(&mut self, s: usize, t: usize) -> bool {
         self.level.iter_mut().for_each(|l| *l = -1);
-        let mut queue = VecDeque::new();
+        self.queue.clear();
         self.level[s] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
+        self.queue.push(s);
+        let mut head = 0;
+        while let Some(&v) = self.queue.get(head) {
+            head += 1;
             for &e in &self.adj[v] {
                 let u = self.to[e];
                 if self.cap[e] > 0 && self.level[u] < 0 {
                     self.level[u] = self.level[v] + 1;
-                    queue.push_back(u);
+                    self.queue.push(u);
                 }
             }
         }
@@ -117,8 +145,10 @@ impl MaxFlow {
         0
     }
 
-    /// Computes the maximum `s`-`t` flow. May be called once per network
-    /// (it mutates residual capacities).
+    /// Computes the maximum `s`-`t` flow on top of whatever flow the
+    /// residual capacities already carry, and returns the amount added.
+    /// To solve the same topology again from zero flow, first reset
+    /// every edge with [`MaxFlow::set_capacity`].
     ///
     /// # Panics
     ///
@@ -139,23 +169,12 @@ impl MaxFlow {
         flow
     }
 
-    /// After [`MaxFlow::max_flow`], the set of nodes reachable from `s`
-    /// in the residual network — the source side of a minimum cut.
-    pub fn min_cut_source_side(&self, s: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.adj.len()];
-        let mut queue = VecDeque::new();
-        seen[s] = true;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for &e in &self.adj[v] {
-                let u = self.to[e];
-                if self.cap[e] > 0 && !seen[u] {
-                    seen[u] = true;
-                    queue.push_back(u);
-                }
-            }
-        }
-        seen
+    /// After [`MaxFlow::max_flow`], whether node `v` is reachable from
+    /// the source in the residual network — on the source side of the
+    /// inclusion-minimal minimum cut. Read from the final BFS of the
+    /// flow, so it costs nothing; stale once capacities change.
+    pub fn on_source_side(&self, v: usize) -> bool {
+        self.level[v] >= 0
     }
 }
 
@@ -196,13 +215,42 @@ mod tests {
         net.add_edge(2, 3, 5);
         let f = net.max_flow(0, 3);
         assert_eq!(f, 3);
-        let side = net.min_cut_source_side(0);
-        assert!(side[0]);
-        assert!(!side[3]);
+        assert!(net.on_source_side(0));
+        assert!(!net.on_source_side(3));
         // Vertex 1 is saturated downstream, so it stays on the source side.
-        assert!(side[1]);
+        assert!(net.on_source_side(1));
+        assert!(!net.on_source_side(2));
         assert_eq!(net.flow_on(e01), 1);
         assert_eq!(net.flow_on(e02), 2);
+    }
+
+    #[test]
+    fn set_capacity_resets_for_another_solve() {
+        let mut net = MaxFlow::new(3);
+        let a = net.add_edge(0, 1, 4);
+        let b = net.add_edge(1, 2, 2);
+        assert_eq!(net.max_flow(0, 2), 2);
+        // Without a reset the saturated network has nothing left.
+        assert_eq!(net.max_flow(0, 2), 0);
+        net.set_capacity(a, 3);
+        net.set_capacity(b, 5);
+        assert_eq!(net.flow_on(a), 0);
+        assert_eq!(net.max_flow(0, 2), 3);
+        assert!(net.on_source_side(0));
+        assert!(!net.on_source_side(1));
+        net.set_capacity(a, 6);
+        net.set_capacity(b, 5);
+        assert_eq!(net.max_flow(0, 2), 5);
+        assert!(net.on_source_side(1));
+        assert!(!net.on_source_side(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "not an edge index")]
+    fn set_capacity_rejects_reverse_edges() {
+        let mut net = MaxFlow::new(2);
+        let e = net.add_edge(0, 1, 1);
+        net.set_capacity(e + 1, 1);
     }
 
     #[test]

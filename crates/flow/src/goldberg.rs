@@ -1,17 +1,22 @@
-//! Goldberg's max-flow reduction for the densest-subgraph problem.
+//! Densest subgraph via Goldberg's max-flow reduction, searched with
+//! Dinkelbach's method on one reusable flow network.
 
 use dsa_graphs::Ratio;
 
 use crate::MaxFlow;
 
-/// A maximum-density subgraph: the vertex set (sorted) and its exact
-/// density `|E(A)| / |A|`.
+/// A maximum-density subgraph: the vertex set (sorted), its exact
+/// density `|E(A)| / |A|`, and the work the search took.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Densest {
     /// The vertices of the densest subgraph, sorted increasingly.
     pub vertices: Vec<usize>,
     /// Its density.
     pub density: Ratio,
+    /// Max-flow runs spent finding it (0 for the brute-force
+    /// references). A deterministic work counter: it depends only on
+    /// the instance, so it can pin the cost of the search in tests.
+    pub flows: u32,
 }
 
 /// Computes a maximum-density subgraph of the graph on vertices `0..n`
@@ -22,13 +27,16 @@ pub struct Densest {
 /// and the spanner algorithm treats that vertex as having no candidate
 /// star).
 ///
-/// This is Goldberg's classic reduction: for a guess `g`, a network with
-/// source capacities `deg(v)`, internal capacities 1 in both directions
-/// per edge, and sink capacities `2g` has a minimum cut smaller than
-/// `2|E|` iff some subgraph has density exceeding `g`. Densities are
-/// multiples of `1/q` for `q ≤ n`, so a binary search over multiples of
-/// `1/(n(n-1))` isolates the optimum exactly; all capacities are scaled
-/// to integers so the search is precise.
+/// This is Goldberg's classic reduction: for a density `g`, a network
+/// with source capacities `deg(v)`, internal capacities 1 in both
+/// directions per edge, and sink capacities `2g` has a minimum cut
+/// smaller than `2|E|` iff some subgraph is denser than `g`, and the
+/// source side of the minimal minimum cut is such a subgraph. The
+/// search starts at the density of the whole graph and jumps to the
+/// density of each cut's subgraph (Dinkelbach's method) until a cut
+/// proves that nothing is denser; one more flow then fixes the
+/// returned vertex set. See [`densest_weighted_subgraph`], which this
+/// calls with unit weights.
 ///
 /// # Panics
 ///
@@ -68,22 +76,45 @@ pub fn densest_subgraph(n: usize, edges: &[(usize, usize)]) -> Option<Densest> {
 ///
 /// Vertex weights of **zero** are allowed (zero-weight edges of the
 /// weighted problem): such vertices are free to include. The returned
-/// subgraph is guaranteed to have positive total weight; if the only
-/// positive-density sets had zero weight the function returns `None`
-/// (the caller's invariants — weight-0 stars are pre-added to the
-/// spanner — make that case mean "nothing left to span").
+/// subgraph is guaranteed to have positive total weight; if a
+/// zero-weight set spans an edge, the density is unbounded and the
+/// function returns `None` (the caller's invariants — weight-0 stars
+/// are pre-added to the spanner — rule that case out).
 ///
 /// Returns `None` when `edges` is empty.
+///
+/// # Algorithm
+///
+/// Write `e(A)` for the multiplicity inside `A`, `W(A)` for its weight,
+/// `m = e(V)` and `W = W(V)`. For a density `p/q`, the network with
+/// source capacities `q·deg(v)`, capacities `q·mult` both ways on every
+/// edge and sink capacities `2p·weight(v)` has, for source side `A`, a
+/// cut of `2q·m − 2(q·e(A) − p·W(A))`. So its minimum cut is below
+/// `2q·m` iff some set is denser than `p/q`, and the source side of the
+/// minimal minimum cut then is one. Dinkelbach's method starts at the
+/// whole vertex set and moves to each such witness, so the density
+/// strictly increases, usually reaching the optimum `ρ*` within a
+/// handful of flows; the flow that finds no denser set proves `ρ*`.
+///
+/// The returned set is then fixed by one exact test with `d = W²`
+/// (at least 2): the inclusion-minimal maximizer of
+/// `d·e(A) − t·W(A)` at `t = ⌈ρ*·d⌉ − 1`. Distinct densities are at
+/// least `1/W²` apart, so every maximizer has density exactly `ρ*`; the
+/// objective is supermodular, so the minimal maximizer is unique and
+/// the answer does not depend on the path the search took. All
+/// capacities are integers, built once into one [`MaxFlow`] whose
+/// capacities every flow rewrites; [`Densest::flows`] counts the flows.
 ///
 /// # Panics
 ///
 /// Panics on out-of-range endpoints, self-loops, zero multiplicities,
 /// or magnitudes large enough to overflow the scaled capacities
-/// (`total_weight² · total_multiplicity` must fit in `i64`).
+/// (`2 · W² · m` must fit in `i64`), on every build profile.
 pub fn densest_weighted_subgraph(
     vertex_weights: &[u64],
     edges: &[(usize, usize, u64)],
 ) -> Option<Densest> {
+    const TOO_LARGE: &str = "instance too large for exact densest-subgraph arithmetic";
     let n = vertex_weights.len();
     if edges.is_empty() {
         return None;
@@ -93,75 +124,151 @@ pub fn densest_weighted_subgraph(
         assert!(u != v, "self-loop ({u}, {v})");
         assert!(mult > 0, "zero multiplicity on ({u}, {v})");
     }
-    let m: i64 = edges.iter().map(|&(_, _, mult)| mult as i64).sum();
-    // Weighted degrees in the local graph.
-    let mut deg = vec![0i64; n];
-    for &(u, v, mult) in edges {
-        deg[u] += mult as i64;
-        deg[v] += mult as i64;
-    }
-
-    // Distinct densities p/q have q ≤ total weight, so they are
-    // separated by at least 1/W² with W the total weight; search over
-    // multiples of 1/d with d = W².
-    let total_weight: i64 = vertex_weights.iter().map(|&w| w as i64).sum();
-    let d = (total_weight * total_weight).max(2);
+    let to_i64 = |x: u64| i64::try_from(x).expect(TOO_LARGE);
+    let weights: Vec<i64> = vertex_weights.iter().map(|&w| to_i64(w)).collect();
+    let mults: Vec<i64> = edges.iter().map(|&(_, _, mult)| to_i64(mult)).collect();
+    let m = mults
+        .iter()
+        .try_fold(0i64, |acc, &x| acc.checked_add(x))
+        .expect(TOO_LARGE);
+    let total_weight = weights
+        .iter()
+        .try_fold(0i64, |acc, &w| acc.checked_add(w))
+        .expect(TOO_LARGE);
+    let d = total_weight
+        .checked_mul(total_weight)
+        .expect(TOO_LARGE)
+        .max(2);
+    // Every capacity below is at most 2·m·d (sink capacities of the
+    // exact test saturate instead, see `Goldberg::denser_than`).
     assert!(
         m.checked_mul(d).and_then(|x| x.checked_mul(2)).is_some(),
-        "instance too large for exact densest-subgraph arithmetic"
+        "{TOO_LARGE}"
     );
-    // Evaluate "exists subgraph with density > t/d" and return the
-    // source-side witness if so.
-    let test = |t: i64| -> Option<Vec<usize>> {
-        // Capacities scaled by d: s->v: deg(v)*d, internal: mult*d,
-        // v->sink: 2*t*weight(v).
-        let s = n;
-        let sink = n + 1;
+    if total_weight == 0 {
+        // Zero-weight vertices span an edge: unbounded density.
+        return None;
+    }
+
+    let mut goldberg = Goldberg::new(&weights, edges, &mults, m);
+    // Dinkelbach: p/q is the density of the whole set, then of each
+    // witness, until no set is denser.
+    let (mut p, mut q) = (m, total_weight);
+    while goldberg.denser_than(p, q) {
+        let (inside, weight) = goldberg.witness_totals(&weights, edges, &mults);
+        if weight == 0 {
+            // A zero-weight set spans something: unbounded density.
+            return None;
+        }
+        (p, q) = (inside, weight);
+    }
+    // The exact test at t = ⌈ρ*·d⌉ − 1 (p ≥ 1, and p·d ≤ m·d fits).
+    let t = (p * d - 1) / q;
+    let found = goldberg.denser_than(t, d);
+    debug_assert!(found, "a set of density p/q beats t/d");
+    let vertices: Vec<usize> = goldberg.source_side().collect();
+    let density = weighted_subgraph_density(&vertices, vertex_weights, edges)?;
+    debug_assert_eq!(density, Ratio::new(p.unsigned_abs(), q.unsigned_abs()));
+    Some(Densest {
+        vertices,
+        density,
+        flows: goldberg.flows,
+    })
+}
+
+/// Goldberg's network for one instance: nodes `0..n`, source `n`, sink
+/// `n + 1`. The topology is built once; each density test rewrites
+/// every capacity and solves again, allocating nothing.
+struct Goldberg {
+    net: MaxFlow,
+    m: i64,
+    /// `(edge id, coefficient)` of the source arcs (`deg(v)`) and of the
+    /// two arcs per edge (`mult`), whose capacities scale with the
+    /// density's denominator.
+    scaled: Vec<(usize, i64)>,
+    /// `(edge id, weight(v))` of the sink arcs of positive-weight
+    /// vertices, whose capacities scale with twice the numerator.
+    sink: Vec<(usize, i64)>,
+    flows: u32,
+}
+
+impl Goldberg {
+    fn new(weights: &[i64], edges: &[(usize, usize, u64)], mults: &[i64], m: i64) -> Self {
+        let n = weights.len();
+        let (s, t) = (n, n + 1);
+        // deg(v) <= m, so no sum here overflows.
+        let mut deg = vec![0i64; n];
+        for (&(u, v, _), &mult) in edges.iter().zip(mults) {
+            deg[u] += mult;
+            deg[v] += mult;
+        }
         let mut net = MaxFlow::new(n + 2);
+        let mut scaled = Vec::with_capacity(n + 2 * edges.len());
+        let mut sink = Vec::with_capacity(n);
         for v in 0..n {
             if deg[v] > 0 {
-                net.add_edge(s, v, deg[v] * d);
+                scaled.push((net.add_edge(s, v, 0), deg[v]));
             }
-            if vertex_weights[v] > 0 {
-                net.add_edge(v, sink, 2 * t * vertex_weights[v] as i64);
+            if weights[v] > 0 {
+                sink.push((net.add_edge(v, t, 0), weights[v]));
             }
         }
-        for &(u, v, mult) in edges {
-            net.add_edge(u, v, mult as i64 * d);
-            net.add_edge(v, u, mult as i64 * d);
+        for (&(u, v, _), &mult) in edges.iter().zip(mults) {
+            scaled.push((net.add_edge(u, v, 0), mult));
+            scaled.push((net.add_edge(v, u, 0), mult));
         }
-        let flow = net.max_flow(s, sink);
-        if flow < 2 * m * d {
-            let side = net.min_cut_source_side(s);
-            let a: Vec<usize> = (0..n).filter(|&v| side[v]).collect();
-            debug_assert!(!a.is_empty());
-            Some(a)
-        } else {
-            None
-        }
-    };
-
-    // Binary search for the largest t with a witness denser than t/d.
-    // t = 0 always has a witness: some edge exists and its endpoint
-    // pair has positive multiplicity inside, hence positive density.
-    let mut lo = 0i64; // test(lo) succeeds
-    let mut hi = m * d + 1; // density can't exceed m, so test(hi) fails
-    let mut witness = test(0)?;
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        match test(mid) {
-            Some(a) => {
-                witness = a;
-                lo = mid;
-            }
-            None => hi = mid,
+        Goldberg {
+            net,
+            m,
+            scaled,
+            sink,
+            flows: 0,
         }
     }
-    let density = weighted_subgraph_density(&witness, vertex_weights, edges)?;
-    Some(Densest {
-        vertices: witness,
-        density,
-    })
+
+    /// Whether some vertex set `A` has `den·e(A) > num·W(A)`, i.e. is
+    /// denser than `num/den`. When it does, the source side of the
+    /// solved network is the inclusion-minimal maximizer of
+    /// `den·e(A) − num·W(A)`.
+    ///
+    /// Needs `0 <= num` and `2·m·den`, `2·num` in range. A sink
+    /// capacity that would overflow saturates instead: any capacity
+    /// above `2·m·den`, the cut around the source, is never cut, so the
+    /// minimum cut is the same.
+    fn denser_than(&mut self, num: i64, den: i64) -> bool {
+        for &(id, coef) in &self.scaled {
+            self.net.set_capacity(id, coef * den);
+        }
+        for &(id, weight) in &self.sink {
+            self.net.set_capacity(id, weight.saturating_mul(2 * num));
+        }
+        self.flows += 1;
+        let n = self.net.num_nodes() - 2;
+        self.net.max_flow(n, n + 1) < 2 * self.m * den
+    }
+
+    /// The vertices on the source side of the last solve, ascending.
+    fn source_side(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.net.num_nodes() - 2).filter(|&v| self.net.on_source_side(v))
+    }
+
+    /// `(e(A), W(A))` of the last solve's source side `A`.
+    fn witness_totals(
+        &self,
+        weights: &[i64],
+        edges: &[(usize, usize, u64)],
+        mults: &[i64],
+    ) -> (i64, i64) {
+        let inside = |v: usize| self.net.on_source_side(v);
+        let e = edges
+            .iter()
+            .zip(mults)
+            .filter(|&(&(u, v, _), _)| inside(u) && inside(v))
+            .map(|(_, &mult)| mult)
+            .sum();
+        let w = self.source_side().map(|v| weights[v]).sum();
+        (e, w)
+    }
 }
 
 /// Exact density of a vertex set, or `None` when its total weight is
@@ -209,7 +316,11 @@ pub fn densest_weighted_subgraph_brute_force(
             continue;
         };
         if best.as_ref().is_none_or(|b| density > b.density) {
-            best = Some(Densest { vertices, density });
+            best = Some(Densest {
+                vertices,
+                density,
+                flows: 0,
+            });
         }
     }
     best
@@ -241,6 +352,7 @@ pub fn densest_subgraph_brute_force(n: usize, edges: &[(usize, usize)]) -> Optio
             best = Some(Densest {
                 vertices: (0..n).filter(|&v| mask >> v & 1 == 1).collect(),
                 density,
+                flows: 0,
             });
         }
     }
@@ -360,6 +472,47 @@ mod weighted_tests {
         let best2 = densest_weighted_subgraph(&weights, &edges[..1]).unwrap();
         assert_eq!(best2.vertices, vec![0, 1]);
         assert_eq!(best2.density, Ratio::new(2, 2));
+    }
+
+    #[test]
+    fn zero_weight_set_spanning_an_edge_is_unbounded() {
+        // Against the caller's invariant, leaves 0 and 1 are both free
+        // and span a pair: the density is unbounded and no
+        // positive-weight witness exists.
+        let weights = vec![0, 0, 1];
+        let edges = vec![(0, 1, 1), (1, 2, 1)];
+        assert_eq!(densest_weighted_subgraph(&weights, &edges), None);
+        // Same when the whole set has positive weight, so the search
+        // has to find the free pair.
+        let weights = vec![0, 0, 3, 3];
+        let edges = vec![(0, 1, 1), (2, 3, 1), (1, 2, 1)];
+        assert_eq!(densest_weighted_subgraph(&weights, &edges), None);
+    }
+
+    #[test]
+    fn search_takes_a_handful_of_flows() {
+        // The whole set is optimal: one flow proves it, one more fixes
+        // the witness.
+        let best = densest_subgraph(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        assert_eq!(best.flows, 2);
+        // Triangle plus two isolated vertices: the first flow jumps
+        // from density 3/5 straight to the triangle.
+        let best = densest_subgraph(5, &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        assert_eq!(best.vertices, vec![0, 1, 2]);
+        assert_eq!(best.flows, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "instance too large")]
+    fn weight_sum_overflow_panics_on_every_profile() {
+        // d = W² = 2^82 overflows i64.
+        densest_weighted_subgraph(&[1 << 40, 1 << 40], &[(0, 1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "instance too large")]
+    fn weights_beyond_i64_panic_on_every_profile() {
+        densest_weighted_subgraph(&[1 << 63, 1], &[(0, 1, 1)]);
     }
 
     #[test]

@@ -6,9 +6,14 @@
 //! exactly choosing a vertex subset of the *local graph* on `N(v)` whose
 //! edges are the uncovered edges, and the star's density `|C_S|/|S|` is
 //! the classic subgraph density `|E(A)|/|A|`. The paper points to the
-//! flow techniques of Gallo–Grigoriadis–Tarjan; we implement the
-//! equivalent and better-known Goldberg reduction on top of
-//! [Dinic's max-flow algorithm](MaxFlow).
+//! parametric flow of Gallo–Grigoriadis–Tarjan; we use the better-known
+//! Goldberg reduction on top of [Dinic's max-flow algorithm](MaxFlow)
+//! and search the density with Dinkelbach's method: each flow either
+//! finds a strictly denser set or proves the current density optimal,
+//! so a query costs a handful of flows, plus one exact test that fixes
+//! the returned set ([`densest_weighted_subgraph`] documents both). A
+//! query builds one network and re-solves it by rewriting capacities
+//! ([`MaxFlow::set_capacity`]); [`Densest::flows`] counts the flows.
 //!
 //! # Example
 //!

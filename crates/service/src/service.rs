@@ -1065,8 +1065,9 @@ mod tests {
             ..ServiceConfig::default()
         });
         // Big enough that the engine is still iterating long after the
-        // cancel below lands (hundreds of ms even in release builds).
-        let slow = undirected_spec(260, 0.08, 8, 1);
+        // cancel below lands: several times the 60 ms sleep in a debug
+        // build, with the flow oracle's handful of flows per star.
+        let slow = undirected_spec(500, 0.08, 8, 1);
         let handle = service.submit(&slow).unwrap();
         // The queue drains the moment the worker dequeues the job;
         // give it a beat more so the engine loop is actually running.
@@ -1190,7 +1191,7 @@ mod tests {
             cache_dir: Some(dir.clone()),
             ..ServiceConfig::default()
         });
-        let slow = undirected_spec(260, 0.08, 8, 1);
+        let slow = undirected_spec(500, 0.08, 8, 1);
         let handle = service.submit(&slow).unwrap();
         while service.queued_jobs() > 0 {
             std::thread::yield_now();

@@ -277,7 +277,7 @@ fn cancel_flag_raised_mid_run_stops_between_iterations() {
     let mut rng = StdRng::seed_from_u64(6);
     // Big enough that the run is still iterating when the flag flips
     // (the same sizing the service's abort test relies on).
-    let g = gen::gnp_connected(260, 0.08, &mut rng);
+    let g = gen::gnp_connected(500, 0.08, &mut rng);
     let instance = VariantInstance::Undirected { graph: g };
     let full = run_variant(&instance, &EngineConfig::seeded(3));
     assert!(full.converged && !full.cancelled);
