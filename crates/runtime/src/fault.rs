@@ -27,7 +27,8 @@
 //! points the binary compiles in); a point absent from the plan never
 //! fires. The serving stack's points are documented in the README's
 //! Operations section: `store.append.err`, `store.append.short`,
-//! `store.append.corrupt`, `store.read.err`, `engine.abort`,
+//! `store.append.corrupt`, `store.read.err`, `graphs.append.err`,
+//! `graphs.append.short`, `graphs.append.corrupt`, `engine.abort`,
 //! `engine.latency_ms`, `conn.drop`.
 
 use std::collections::BTreeMap;

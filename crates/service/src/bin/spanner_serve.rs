@@ -929,9 +929,11 @@ fn self_check_persistent(cfg: &ServiceConfig, trace_dir: Option<&Path>) -> Resul
 }
 
 /// The default chaos plan (`--self-check --chaos` without
-/// `--fault-plan`): every fault point armed, seeded so the decision
-/// stream is reproducible run to run.
-const DEFAULT_CHAOS_PLAN: &str = "seed=7;store.append.err=0.5;store.append.short=0.3;store.read.err=0.2;engine.latency_ms=3@0.4;engine.abort=0.25;conn.drop=0.2";
+/// `--fault-plan`): every store, engine and connection fault point
+/// armed (the run creates no named graphs, so the `graphs.append.*`
+/// points would never be reached), seeded so the decision stream is
+/// reproducible run to run.
+const DEFAULT_CHAOS_PLAN: &str = "seed=7;store.append.err=0.5;store.append.short=0.3;store.append.corrupt=0.2;store.read.err=0.2;engine.latency_ms=3@0.4;engine.abort=0.25;conn.drop=0.2";
 
 /// The chaos flavor (`--self-check --chaos`): fault-free reference
 /// responses first, then a deliberately tiny service (one worker,

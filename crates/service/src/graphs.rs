@@ -37,19 +37,18 @@
 //! With a `--cache-dir`, every accepted create/patch/delete command is
 //! appended to `graphs.log` in the store directory (the store's
 //! advisory single-writer lock covers the whole directory, so the log
-//! needs no lock of its own). Records reuse the wire codec's command
-//! text — the wire protocol and the log can never drift — framed like
-//! the result store: `u32 BE length | payload | u64 BE FNV-1a
-//! checksum`. Recovery skips checksum-corrupt records and truncates a
-//! ragged tail, so a crash mid-append recovers to the last fully
-//! appended delta. An append failure demotes the registry to
-//! memory-only (mirroring the result store's degrade path) — the
-//! service keeps answering, it just stops persisting graph history.
+//! needs no lock of its own). The log is a [`RecordLog`] (magic
+//! `DSAGRPH1`, checksum tag `dsa-graph-record-v1`, fault points
+//! `graphs.append.*`) whose payloads are the wire codec's command text
+//! — the wire protocol and the log can never drift. Recovery skips
+//! corrupt records and truncates a ragged tail, so a crash mid-append
+//! recovers to the last fully appended delta. An append failure
+//! demotes the registry to memory-only (mirroring the result store's
+//! degrade path) — the service keeps answering, it just stops
+//! persisting graph history.
 
 use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -59,11 +58,11 @@ use dsa_core::dist::{
     plan_insertions, repair_cover, ClientServerTwoSpanner, DirectedTwoSpanner, EngineConfig,
     SpannerVariant, UndirectedTwoSpanner, VariantInstance, VariantKind, WeightedTwoSpanner,
 };
-use dsa_graphs::canon::Fnv1a;
 use dsa_graphs::{DiGraph, EdgeSet, EdgeWeights, Graph};
 use dsa_runtime::{obs, FaultInjector};
 
 use crate::job::{JobError, JobResponse, JobSpec};
+use crate::record_log::{LogFormat, RecordLog};
 use crate::wire;
 
 /// Repair debt (cover edges added by local repairs since the last full
@@ -76,23 +75,17 @@ pub const REPAIR_DEBT_THRESHOLD: usize = 256;
 /// Maximum length of a graph id.
 pub const MAX_GRAPH_ID_LEN: usize = 64;
 
-/// File-format magic identifying a v1 graph delta log.
-const GRAPH_LOG_MAGIC: &[u8; 8] = b"DSAGRPH1";
-
 /// Name of the delta log inside a store directory (next to the result
 /// store's `results.log`; the directory's advisory lock covers both).
 pub(crate) const GRAPH_LOG_FILE: &str = "graphs.log";
 
-/// Upper bound on one log record payload: a create command carries at
-/// most one wire frame's worth of graph text.
-const MAX_GRAPH_RECORD: usize = 2 * wire::MAX_FRAME;
-
-fn graph_checksum(payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_bytes(b"dsa-graph-record-v1");
-    h.write_bytes(payload);
-    h.finish()
-}
+/// `graphs.log` on disk and in fault plans.
+pub(crate) const GRAPHS_LOG: LogFormat = LogFormat {
+    file: GRAPH_LOG_FILE,
+    magic: b"DSAGRPH1",
+    tag: "dsa-graph-record-v1",
+    faults: "graphs",
+};
 
 // ---------------------------------------------------------------------
 // Public request/response types
@@ -377,11 +370,10 @@ pub(crate) struct ReplayReport {
 /// The named-graph registry shared by the TCP and HTTP frontends.
 pub(crate) struct GraphRegistry {
     graphs: OrderedMutex<HashMap<String, Arc<GraphEntry>>>,
-    log: Option<OrderedMutex<GraphLog>>,
+    log: Option<OrderedMutex<RecordLog>>,
     /// Cleared when an append fails: the registry keeps serving from
     /// memory but stops persisting (mirrors the result store).
     log_ok: AtomicBool,
-    fault: Arc<FaultInjector>,
 }
 
 impl GraphState {
@@ -683,19 +675,18 @@ impl GraphRegistry {
             graphs: OrderedMutex::new("graphs_map", 10, HashMap::new()),
             log: None,
             log_ok: AtomicBool::new(true),
-            fault,
         };
         let mut report = ReplayReport::default();
         if let Some(dir) = dir {
-            let (log, payloads) = GraphLog::open(dir)?;
-            report.dropped = log.dropped;
-            for payload in &payloads {
+            let log = RecordLog::open(dir, GRAPHS_LOG, fault, |_, payload| {
                 if registry.replay(payload) {
                     report.records += 1;
                 } else {
                     report.skipped += 1;
                 }
-            }
+                true
+            })?;
+            report.dropped = log.dropped();
             registry.log = Some(OrderedMutex::new("graph_log", 30, log));
         }
         report.graphs = registry.live();
@@ -774,12 +765,8 @@ impl GraphRegistry {
         if !self.log_ok.load(Ordering::Relaxed) {
             return false;
         }
-        let result = match self.fault.io_error("graphs.append.err") {
-            Some(e) => Err(e),
-            None => log.lock().append(cmd.as_bytes()),
-        };
-        match result {
-            Ok(()) => true,
+        match log.lock().append(cmd.as_bytes()) {
+            Ok(_) => true,
             Err(e) => {
                 self.log_ok.store(false, Ordering::Relaxed);
                 obs::error(
@@ -1009,193 +996,11 @@ fn build_state(spec: &GraphSpec) -> GraphState {
     }
 }
 
-// ---------------------------------------------------------------------
-// The delta log
-// ---------------------------------------------------------------------
-
-/// The append-only graph command log. Framing mirrors the result
-/// store; payloads are wire command text, so the log format is the
-/// wire format.
-struct GraphLog {
-    /// `None` until the first append: a service that never touches
-    /// named graphs leaves no `graphs.log` in its cache directory
-    /// (and the result store's own recovery walk sees only its file).
-    file: Option<File>,
-    /// End of the last well-formed record; appends land here.
-    end: u64,
-    /// Corrupt records dropped while opening.
-    dropped: u64,
-    path: PathBuf,
-}
-
-impl GraphLog {
-    /// Opens `dir/graphs.log` when present, returning the log plus
-    /// every recoverable record payload in append order. Corrupt
-    /// records are skipped; a ragged tail (crash mid-append) is
-    /// truncated. Never fails on corruption — only on real IO errors.
-    /// A missing log is an empty log; the file is created lazily on
-    /// the first append.
-    fn open(dir: &Path) -> std::io::Result<(GraphLog, Vec<Vec<u8>>)> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(GRAPH_LOG_FILE);
-        if !path.exists() {
-            return Ok((
-                GraphLog {
-                    file: None,
-                    end: GRAPH_LOG_MAGIC.len() as u64,
-                    dropped: 0,
-                    path,
-                },
-                Vec::new(),
-            ));
-        }
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut log = GraphLog {
-            file: Some(file),
-            end: GRAPH_LOG_MAGIC.len() as u64,
-            dropped: 0,
-            path,
-        };
-        let file_len = log.file()?.metadata()?.len();
-        if file_len == 0 {
-            log.file()?.write_all(GRAPH_LOG_MAGIC)?;
-            log.file()?.flush()?;
-            return Ok((log, Vec::new()));
-        }
-        let mut reader = std::io::BufReader::new(log.file()?.try_clone()?);
-        let mut magic = [0u8; 8];
-        let magic_ok = file_len >= GRAPH_LOG_MAGIC.len() as u64 && {
-            reader.read_exact(&mut magic)?;
-            &magic == GRAPH_LOG_MAGIC
-        };
-        if !magic_ok {
-            // Foreign or garbage header: start fresh.
-            drop(reader);
-            log.dropped += 1;
-            log.file()?.set_len(0)?;
-            log.file()?.seek(SeekFrom::Start(0))?;
-            log.file()?.write_all(GRAPH_LOG_MAGIC)?;
-            log.file()?.flush()?;
-            return Ok((log, Vec::new()));
-        }
-        let mut payloads = Vec::new();
-        let mut pos = GRAPH_LOG_MAGIC.len() as u64;
-        loop {
-            let remaining = file_len - pos;
-            if remaining == 0 {
-                break;
-            }
-            if remaining < 4 {
-                log.dropped += 1; // trailing fragment of a length prefix
-                break;
-            }
-            let mut len_bytes = [0u8; 4];
-            reader.read_exact(&mut len_bytes)?;
-            let payload_len = u32::from_be_bytes(len_bytes) as usize;
-            if payload_len > MAX_GRAPH_RECORD || remaining < 4 + payload_len as u64 + 8 {
-                // Garbage length prefix or truncated tail: no further
-                // trustworthy boundary exists.
-                log.dropped += 1;
-                break;
-            }
-            let mut payload = vec![0u8; payload_len];
-            reader.read_exact(&mut payload)?;
-            let mut sum_bytes = [0u8; 8];
-            reader.read_exact(&mut sum_bytes)?;
-            let stored_sum = u64::from_be_bytes(sum_bytes);
-            pos += 4 + payload_len as u64 + 8;
-            if graph_checksum(&payload) != stored_sum {
-                // Framing held, bytes are bad: skip just this record.
-                log.dropped += 1;
-                log.end = pos;
-                continue;
-            }
-            payloads.push(payload);
-            log.end = pos;
-        }
-        drop(reader);
-        if log.end < file_len {
-            let end = log.end;
-            log.file()?.set_len(end)?;
-        }
-        Ok((log, payloads))
-    }
-
-    /// The backing file, created (with its magic header) on first use.
-    fn file(&mut self) -> std::io::Result<&mut File> {
-        if self.file.is_none() {
-            let mut file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&self.path)?;
-            if file.metadata()?.len() == 0 {
-                file.write_all(GRAPH_LOG_MAGIC)?;
-                file.flush()?;
-            }
-            self.file = Some(file);
-        }
-        match self.file.as_mut() {
-            Some(file) => Ok(file),
-            // Unreachable (`file` was just ensured above); an IO error
-            // keeps the degrade-to-memory-only path panic-free.
-            None => Err(std::io::Error::other("graph log file missing after ensure")),
-        }
-    }
-
-    /// Appends one record. On failure the log is truncated back to its
-    /// previous end (best effort) so the tail stays well-formed, and
-    /// the error is returned for the caller's degrade path.
-    fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        if payload.len() > MAX_GRAPH_RECORD {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "graph record of {} bytes exceeds limit {MAX_GRAPH_RECORD}",
-                    payload.len()
-                ),
-            ));
-        }
-        let end = self.end;
-        let result = (|| {
-            let file = self.file()?;
-            file.seek(SeekFrom::Start(end))?;
-            let mut framed = Vec::with_capacity(12 + payload.len());
-            framed.extend_from_slice(&(payload.len() as u32).to_be_bytes()); // dsa-lint: allow(DSA-C001, reason="payload.len() checked against MAX_GRAPH_RECORD above, far below u32::MAX")
-            framed.extend_from_slice(payload);
-            framed.extend_from_slice(&graph_checksum(payload).to_be_bytes());
-            file.write_all(&framed)?;
-            file.flush()
-        })();
-        match result {
-            Ok(()) => {
-                self.end += 4 + payload.len() as u64 + 8;
-                Ok(())
-            }
-            Err(e) => {
-                if let Some(file) = &self.file {
-                    let _ = file.set_len(self.end);
-                }
-                obs::warn(
-                    "dsa-service",
-                    "graph log append failed",
-                    &[("path", &self.path.display()), ("error", &e)],
-                );
-                Err(e)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsa_core::dist::run_variant;
+    use std::io::Write;
 
     /// A direct-engine solver: what the service pipeline reduces to
     /// with the cache cold (same engine, same config normalization).
@@ -1523,6 +1328,86 @@ mod tests {
         let (r, report) = GraphRegistry::open(Some(&dir), fault).unwrap();
         assert_eq!(report.dropped, 0);
         assert_eq!(r.meta("g").unwrap().version, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn short_and_corrupt_appends_recover_to_the_durable_version() {
+        let dir =
+            std::env::temp_dir().join(format!("dsa-graphlog-unit-{}-faults", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = |plan: &str| {
+            let plan = dsa_runtime::FaultPlan::parse(plan).unwrap();
+            GraphRegistry::open(Some(&dir), Arc::new(FaultInjector::new(plan))).unwrap()
+        };
+        let insert = |u, v| DeltaOp::Insert {
+            u,
+            v,
+            weight: None,
+            role: None,
+        };
+        // The served spanner equals a from-scratch solve of `edges`.
+        let assert_from_scratch = |r: &GraphRegistry, edges: &[(usize, usize)]| {
+            let got = r.spanner("g", direct_solve).unwrap();
+            let spec = undirected_spec("scratch", 6, edges);
+            let want: Vec<(usize, usize)> = direct_solve(JobSpec {
+                instance: spec.instance,
+                config: normalized_config(spec.config),
+                timeout: None,
+            })
+            .unwrap()
+            .spanner
+            .iter()
+            .map(|&e| edges[e])
+            .collect();
+            assert_eq!(got.edges, want);
+        };
+        let mut edges = vec![(0, 1), (1, 2), (2, 3)];
+        {
+            let (r, _) = open("seed=1");
+            r.create(undirected_spec("g", 6, &edges), direct_solve)
+                .unwrap();
+        }
+
+        // A short write on a PATCH: the append fails (memory-only from
+        // here on) and half a frame stays on disk.
+        {
+            let (r, _) = open("seed=1;graphs.append.short=1.0");
+            let (patched, degraded) = r.patch("g", &[insert(3, 4)], direct_solve).unwrap();
+            assert!(degraded);
+            assert_eq!(patched.version, 1);
+            assert_from_scratch(&r, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        }
+        // Restart drops the torn tail; the graph reopens at its last
+        // durable version and the next append lands cleanly.
+        {
+            let (r, report) = open("seed=1");
+            assert_eq!((report.dropped, report.records), (1, 1));
+            assert_eq!(r.meta("g").unwrap().version, 0);
+            assert_from_scratch(&r, &edges);
+            let (_, degraded) = r.patch("g", &[insert(4, 5)], direct_solve).unwrap();
+            assert!(!degraded);
+            edges.push((4, 5));
+        }
+        {
+            let (r, report) = open("seed=1");
+            assert_eq!((report.dropped, report.records), (0, 2));
+            assert_eq!(r.meta("g").unwrap().version, 1);
+            assert_from_scratch(&r, &edges);
+        }
+
+        // A corrupt append reports success but never replays: the
+        // restart drops and counts it.
+        {
+            let (r, _) = open("seed=1;graphs.append.corrupt=1.0");
+            let (patched, degraded) = r.patch("g", &[insert(0, 5)], direct_solve).unwrap();
+            assert!(!degraded, "silent rot is not an append failure");
+            assert_eq!(patched.version, 2);
+        }
+        let (r, report) = open("seed=1");
+        assert_eq!((report.dropped, report.records), (1, 2));
+        assert_eq!(r.meta("g").unwrap().version, 1);
+        assert_from_scratch(&r, &edges);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

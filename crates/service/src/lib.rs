@@ -58,6 +58,7 @@ mod job;
 mod metrics;
 mod net;
 mod pool;
+mod record_log;
 pub mod retry;
 pub mod server;
 mod service;

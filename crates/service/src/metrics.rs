@@ -72,9 +72,10 @@ pub(crate) struct ServiceMetrics {
     /// Gauge: distinct results currently in the persistent store (0
     /// when no store is configured). Set at open, advanced on append.
     store_records: AtomicU64,
-    /// Records dropped by corruption recovery when the store was
-    /// opened (a counter per process lifetime; recovery happens once,
-    /// at open).
+    /// Records dropped by corruption recovery of the cache directory's
+    /// logs (`results.log` and `graphs.log`) when the service opened
+    /// (a counter per process lifetime; recovery happens once, at
+    /// open).
     store_records_dropped: AtomicU64,
     /// Cumulative store I/O wall time, in microseconds.
     store_read_us: AtomicU64,
@@ -230,9 +231,10 @@ impl ServiceMetrics {
         self.store_records.store(records, Ordering::Relaxed);
     }
 
-    /// Records how many corrupt records open-time recovery dropped —
-    /// previously only a startup log line, now a scrapeable counter so
-    /// silent data loss shows up on dashboards.
+    /// Records how many corrupt records open-time recovery of the
+    /// cache directory's logs dropped — a scrapeable counter so silent
+    /// data loss shows up on dashboards, not only in a startup log
+    /// line.
     pub fn set_store_dropped(&self, dropped: u64) {
         self.store_records_dropped.store(dropped, Ordering::Relaxed);
     }
@@ -402,7 +404,8 @@ pub struct MetricsSnapshot {
     /// Distinct results currently servable from the persistent store
     /// (a gauge, not a counter); 0 without a configured store.
     pub store_records: u64,
-    /// Corrupt records dropped by the store's open-time recovery scan.
+    /// Corrupt records dropped by the open-time recovery scan of the
+    /// cache directory's logs (`results.log` and `graphs.log`).
     /// Non-zero means the log was damaged and silently healed — the
     /// dashboards should see that, not just the startup stderr.
     pub store_records_dropped: u64,
@@ -689,7 +692,7 @@ impl MetricsSnapshot {
         metric(
             "store_records_dropped_total",
             "counter",
-            "Corrupt records dropped by the store's open-time recovery.",
+            "Corrupt records dropped by the cache directory's open-time recovery.",
             &plain(self.store_records_dropped),
         );
         metric(

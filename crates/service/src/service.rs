@@ -272,6 +272,7 @@ impl Service {
             .fault
             .clone()
             .unwrap_or_else(|| Arc::new(FaultInjector::disabled()));
+        let mut store_dropped = 0;
         let store = match &cfg.cache_dir {
             None => None,
             Some(dir) => {
@@ -286,7 +287,7 @@ impl Service {
                         &[("dropped", &dropped), ("dir", &dir)],
                     );
                 }
-                metrics.set_store_dropped(store.dropped());
+                store_dropped = store.dropped();
                 // Warm start: replay the most recent records into the
                 // LRU (oldest first, so recency matches log order).
                 for record in store.warm_records(cfg.cache_capacity) {
@@ -316,6 +317,8 @@ impl Service {
                 &[("dropped", &dropped), ("skipped", &skipped)],
             );
         }
+        // Records dropped by cache-directory recovery, from both logs.
+        metrics.set_store_dropped(store_dropped + replay.dropped);
         metrics.set_graphs_live(replay.graphs as u64);
         Ok(Service {
             shared: Arc::new(Shared {

@@ -14,16 +14,15 @@
 //!
 //! # On-disk format
 //!
+//! The log is a [`RecordLog`] (magic `DSASTOR1`, checksum tag
+//! `dsa-store-record-v1`; framing and corruption recovery are
+//! described there) whose record payloads are
+//!
 //! ```text
-//! file     := magic record*
-//! magic    := "DSASTOR1"                      (8 bytes)
-//! record   := len payload checksum
-//! len      := u32 BE, length of payload
 //! payload  := key spec_len spec run_len run
 //! key      := u64 BE canonical job key
 //! spec_len := u32 BE   spec := verification bytes (wire run request)
 //! run_len  := u32 BE   run  := encoded SpannerRun (see below)
-//! checksum := u64 BE FNV-1a over payload
 //! ```
 //!
 //! The run encoding is a flat big-endian integer layout: iterations,
@@ -33,26 +32,11 @@
 //! to the cold computation's (a run is only ever appended *complete*;
 //! aborted runs never reach the log, so `cancelled` is always false).
 //!
-//! # Corruption recovery
-//!
-//! The log is append-only, so damage concentrates at the tail (a crash
-//! mid-append) but the reader assumes nothing: on open it walks the
-//! records and
-//!
-//! * a record whose checksum or internal structure is wrong is
-//!   **skipped** (its framing still locates the next record);
-//! * a tail too short to contain the record its length prefix claims —
-//!   or a length prefix that is itself garbage — ends the walk and the
-//!   file is **truncated** back to the last well-formed boundary, so
-//!   future appends land on a clean frame;
-//! * a missing or foreign magic header drops the whole file and starts
-//!   it fresh.
-//!
-//! Every dropped record is counted ([`Store::dropped`]); recovery
-//! never fails the open and never serves bytes that fail verification.
-//! Within one log, the *latest* record for a key wins (a key is
-//! re-appended only after hash collisions), which the index and
-//! [`Store::warm_records`] both respect.
+//! A record whose payload structure is inconsistent is dropped by the
+//! recovery walk like one with a bad checksum; recovery never serves
+//! bytes that fail verification. Within one log, the *latest* record
+//! for a key wins (a key is re-appended only after hash collisions),
+//! which the index and [`Store::warm_records`] both respect.
 //!
 //! **Single writer.** A store directory belongs to one process at a
 //! time (the standard one-daemon deployment): opening the store takes
@@ -63,46 +47,42 @@
 //! is detected as stale and reclaimed; the lock file is removed when
 //! the store is dropped.
 //!
-//! **Fault injection.** The store threads every write and point read
-//! through [`dsa_runtime::fault`] points (`store.append.err`,
-//! `store.append.short`, `store.append.corrupt`, `store.read.err`) so
-//! chaos runs can exercise ENOSPC-style failures, crash-shaped short
-//! writes, and silent corruption deterministically. An injected (or
-//! real) append failure surfaces as an `Err` the service uses to
-//! demote itself to memory-only caching; injected corruption is
-//! caught by the same checksum-plus-verification reads that guard
-//! against real disk rot — wrong bytes are never served.
+//! **Fault injection.** Appends pass through the record log's
+//! `store.append.err`, `store.append.short` and `store.append.corrupt`
+//! points; point reads through `store.read.err`. An injected (or real)
+//! append failure surfaces as an `Err` the service uses to demote
+//! itself to memory-only caching; injected corruption is caught by the
+//! same checksum-plus-verification reads that guard against real disk
+//! rot — wrong bytes are never served.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dsa_core::dist::{EngineConfig, IterationStats, SpannerRun, VariantInstance};
-use dsa_graphs::canon::Fnv1a;
 use dsa_graphs::EdgeSet;
 use dsa_runtime::{obs, FaultInjector};
 
 use crate::job::{canonicalize_job, JobSpec};
+use crate::record_log::{LogFormat, RecordLog, RecordRef, MAX_PAYLOAD};
 use crate::wire;
-
-/// File-format magic: identifies a v1 result log.
-const MAGIC: &[u8; 8] = b"DSASTOR1";
 
 /// Name of the record log inside a store directory.
 pub(crate) const LOG_FILE: &str = "results.log";
 
+/// `results.log` on disk and in fault plans.
+pub(crate) const RESULTS_LOG: LogFormat = LogFormat {
+    file: LOG_FILE,
+    magic: b"DSASTOR1",
+    tag: "dsa-store-record-v1",
+    faults: "store",
+};
+
 /// Name of the advisory single-writer lock file inside a store
 /// directory; holds the owning PID for diagnostics.
 pub(crate) const LOCK_FILE: &str = "lock";
-
-/// Upper bound on one record payload. A record carries the wire
-/// encoding of the job (bounded by [`wire::MAX_FRAME`] for anything
-/// that arrived remotely) plus the encoded run, which is smaller than
-/// the instance it came from; twice the frame cap leaves margin while
-/// keeping a corrupt length prefix from directing an absurd read.
-const MAX_PAYLOAD: usize = 2 * wire::MAX_FRAME;
 
 /// The canonical identity bytes a record is verified against: the wire
 /// rendering of the canonical instance plus the result-relevant engine
@@ -134,35 +114,21 @@ pub(crate) struct WarmRecord {
     pub run: Arc<SpannerRun>,
 }
 
-/// Where a key's latest record lives in the log.
-#[derive(Clone, Copy)]
-struct IndexEntry {
-    /// Offset of the record's length prefix.
-    offset: u64,
-    /// Payload length (so a lookup reads exactly one record).
-    payload_len: u32,
-}
-
-/// An open result store: the log file plus an in-memory key index.
+/// An open result store: the record log plus an in-memory key index.
 /// All record payloads stay on disk; memory is O(records) index
 /// entries, not O(bytes).
 pub(crate) struct Store {
-    file: File,
-    path: PathBuf,
+    log: RecordLog,
     /// The advisory lock file this store holds; removed on drop.
     lock_path: PathBuf,
-    /// Fault-injection points threaded through appends and reads.
+    /// Fault injection for point reads (appends inject in the log).
     fault: Arc<FaultInjector>,
     /// `key -> latest record` for point lookups.
-    index: HashMap<u64, IndexEntry>,
+    index: HashMap<u64, RecordRef>,
     /// Keys in append order (latest position per key), for warm
     /// replay: later entries are more recent and should survive LRU
     /// eviction during refill.
     order: Vec<u64>,
-    /// End of the last well-formed record; appends land here.
-    end: u64,
-    /// Corrupt or unreadable records dropped while opening.
-    dropped: u64,
 }
 
 /// Whether `pid` names a live process. Probed via procfs; where
@@ -252,114 +218,29 @@ impl Store {
         std::fs::create_dir_all(dir)?;
         let lock_path = dir.join(LOCK_FILE);
         acquire_lock(&lock_path)?;
-        let path = dir.join(LOG_FILE);
-        let file = match OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
-        {
-            Ok(file) => file,
+        let mut index = HashMap::new();
+        let mut order = Vec::new();
+        let log = RecordLog::open(dir, RESULTS_LOG, Arc::clone(&fault), |at, payload| {
+            let Some(record) = decode_payload(payload) else {
+                return false;
+            };
+            note_record(&mut index, &mut order, record.key, at);
+            true
+        });
+        match log {
+            Ok(log) => Ok(Store {
+                log,
+                lock_path,
+                fault,
+                index,
+                order,
+            }),
             Err(e) => {
                 // The lock was taken but no Store exists to drop it.
                 let _ = std::fs::remove_file(&lock_path);
-                return Err(e);
+                Err(e)
             }
-        };
-        // From here on `store` owns the lock: any early `?` return
-        // drops it, which removes the lock file.
-        let mut store = Store {
-            file,
-            path,
-            lock_path,
-            fault,
-            index: HashMap::new(),
-            order: Vec::new(),
-            end: MAGIC.len() as u64,
-            dropped: 0,
-        };
-        let file_len = store.file.metadata()?.len();
-
-        if file_len == 0 {
-            store.file.write_all(MAGIC)?;
-            store.file.flush()?;
-            return Ok(store);
         }
-        // The walk streams the log (peak memory is one record, not the
-        // file): a buffered reader over a cloned handle, with explicit
-        // positions so recovery can truncate precisely.
-        let mut reader = std::io::BufReader::new(store.file.try_clone()?);
-        let mut magic = [0u8; 8];
-        let magic_ok = file_len >= MAGIC.len() as u64 && {
-            reader.read_exact(&mut magic)?;
-            &magic == MAGIC
-        };
-        if !magic_ok {
-            // Foreign or garbage header: nothing in the file can be
-            // trusted. Count it as one dropped record and start fresh.
-            drop(reader);
-            store.dropped += 1;
-            store.file.set_len(0)?;
-            store.file.seek(SeekFrom::Start(0))?;
-            store.file.write_all(MAGIC)?;
-            store.file.flush()?;
-            return Ok(store);
-        }
-
-        // Walk the records, remembering the last well-formed boundary.
-        let mut pos = MAGIC.len() as u64;
-        let mut payload = Vec::new();
-        loop {
-            let remaining = file_len - pos;
-            if remaining == 0 {
-                break;
-            }
-            if remaining < 4 {
-                store.dropped += 1; // trailing fragment of a length prefix
-                break;
-            }
-            let mut len_bytes = [0u8; 4];
-            reader.read_exact(&mut len_bytes)?;
-            let payload_len = u32::from_be_bytes(len_bytes) as usize;
-            if payload_len > MAX_PAYLOAD || remaining < 4 + payload_len as u64 + 8 {
-                // A garbage length prefix and a truncated tail are
-                // indistinguishable; either way the walk cannot find
-                // another trustworthy boundary.
-                store.dropped += 1;
-                break;
-            }
-            payload.resize(payload_len, 0);
-            reader.read_exact(&mut payload)?;
-            let mut sum_bytes = [0u8; 8];
-            reader.read_exact(&mut sum_bytes)?;
-            let stored_sum = u64::from_be_bytes(sum_bytes);
-            let offset = pos;
-            pos += 4 + payload_len as u64 + 8;
-            if checksum(&payload) != stored_sum || decode_payload(&payload).is_none() {
-                // The framing held (the next record starts right
-                // after), only this record's bytes are bad: skip it.
-                store.dropped += 1;
-                store.end = pos;
-                continue;
-            }
-            let key = u64::from_be_bytes(payload[..8].try_into().expect("8 bytes"));
-            store.note_record(
-                key,
-                IndexEntry {
-                    offset,
-                    payload_len: payload_len as u32, // dsa-lint: allow(DSA-C001, reason="replay path, payload_len already bounded by the MAX_PAYLOAD read check")
-                },
-            );
-            store.end = pos;
-        }
-        drop(reader);
-        // Drop any unparseable tail so the next append starts on a
-        // clean frame.
-        if store.end < file_len {
-            store.file.set_len(store.end)?;
-        }
-        Ok(store)
     }
 
     /// Whether the index holds a record for `key` — cheap (no IO, no
@@ -369,15 +250,6 @@ impl Store {
         self.index.contains_key(&key)
     }
 
-    fn note_record(&mut self, key: u64, entry: IndexEntry) {
-        if self.index.insert(key, entry).is_some() {
-            // Re-appended key (collision overwrite): its recency moves
-            // to the new position.
-            self.order.retain(|&k| k != key);
-        }
-        self.order.push(key);
-    }
-
     /// Number of distinct keys the store can serve.
     pub fn records(&self) -> u64 {
         self.index.len() as u64
@@ -385,7 +257,7 @@ impl Store {
 
     /// Corrupt records dropped while opening.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.log.dropped()
     }
 
     /// Looks up `key`, serving the stored run only when the record's
@@ -396,9 +268,8 @@ impl Store {
         if self.fault.fire("store.read.err") {
             return None; // an unreadable record is a miss, never an error
         }
-        let entry = *self.index.get(&key)?;
-        let payload = self.read_payload(entry)?;
-        let record = decode_payload(&payload)?;
+        let at = *self.index.get(&key)?;
+        let record = decode_payload(&self.log.read(at)?)?;
         if record.spec != verification {
             return None;
         }
@@ -406,11 +277,10 @@ impl Store {
     }
 
     /// Appends one completed run. The caller guarantees the run is
-    /// complete (never cancelled). On error the record is not
-    /// persisted: a real write failure leaves the log truncated back
-    /// to its previous end (best effort) so the tail stays
-    /// well-formed, and the error is returned for the caller to act
-    /// on — the service demotes itself to memory-only caching.
+    /// complete (never cancelled). A record too large to replay is
+    /// skipped, not an error. On error the record is not persisted and
+    /// the error is returned for the caller to act on — the service
+    /// demotes itself to memory-only caching.
     pub fn append(
         &mut self,
         key: u64,
@@ -418,9 +288,6 @@ impl Store {
         run: &SpannerRun,
     ) -> std::io::Result<()> {
         debug_assert!(!run.cancelled, "aborted runs must never be persisted");
-        if let Some(e) = self.fault.io_error("store.append.err") {
-            return Err(e); // ENOSPC-shaped: fails before touching disk
-        }
         let mut payload = Vec::with_capacity(verification.len() + 64);
         payload.extend_from_slice(&key.to_be_bytes());
         payload.extend_from_slice(&(verification.len() as u32).to_be_bytes()); // dsa-lint: allow(DSA-C001, reason="a wrapping length implies payload > MAX_PAYLOAD, skipped below before disk")
@@ -431,55 +298,9 @@ impl Store {
         if payload.len() > MAX_PAYLOAD {
             return Ok(()); // cannot be replayed within the read bound; skip
         }
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes()); // dsa-lint: allow(DSA-C001, reason="payload.len() <= MAX_PAYLOAD, far below u32::MAX, checked above")
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&checksum(&payload).to_be_bytes());
-        if self.fault.fire("store.append.short") {
-            // Crash-shaped: half the frame reaches disk and stays
-            // there (no truncation — the next open's recovery walk has
-            // to cope with the ragged tail, exactly as after a real
-            // crash).
-            let cut = frame.len() / 2;
-            let _ = self.file.seek(SeekFrom::Start(self.end));
-            let _ = self.file.write_all(&frame[..cut]);
-            let _ = self.file.flush();
-            return Err(std::io::Error::other("injected fault: store.append.short"));
-        }
-        if self.fault.fire("store.append.corrupt") {
-            // Silent-rot-shaped: the write "succeeds" but a checksum
-            // byte is flipped. Reads catch it (checksum mismatch =>
-            // miss) and the next open counts it dropped; wrong bytes
-            // are never served.
-            let last = frame.len() - 1;
-            frame[last] ^= 0xff;
-        }
-        let write = (|| -> std::io::Result<()> {
-            self.file.seek(SeekFrom::Start(self.end))?;
-            self.file.write_all(&frame)?;
-            self.file.flush()
-        })();
-        match write {
-            Ok(()) => {
-                self.note_record(
-                    key,
-                    IndexEntry {
-                        offset: self.end,
-                        payload_len: payload.len() as u32, // dsa-lint: allow(DSA-C001, reason="payload.len() <= MAX_PAYLOAD, far below u32::MAX, checked above")
-                    },
-                );
-                self.end += frame.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                // Best effort: drop any partial frame.
-                let _ = self.file.set_len(self.end);
-                Err(std::io::Error::new(
-                    e.kind(),
-                    format!("{}: {e}", self.path.display()),
-                ))
-            }
-        }
+        let at = self.log.append(&payload)?;
+        note_record(&mut self.index, &mut self.order, key, at);
+        Ok(())
     }
 
     /// Decodes the most recent `limit` records into warm-cache entries
@@ -488,13 +309,9 @@ impl Store {
     /// canonicalizes to their stored key are skipped, never served.
     pub fn warm_records(&mut self, limit: usize) -> Vec<WarmRecord> {
         let skip = self.order.len().saturating_sub(limit);
-        let keys: Vec<u64> = self.order[skip..].to_vec();
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            let Some(entry) = self.index.get(&key).copied() else {
-                continue;
-            };
-            let Some(payload) = self.read_payload(entry) else {
+        let mut out = Vec::with_capacity(self.order.len() - skip);
+        for &key in &self.order[skip..] {
+            let Some(payload) = self.index.get(&key).and_then(|&at| self.log.read(at)) else {
                 continue;
             };
             let Some(record) = decode_payload(&payload) else {
@@ -522,19 +339,6 @@ impl Store {
         }
         out
     }
-
-    fn read_payload(&mut self, entry: IndexEntry) -> Option<Vec<u8>> {
-        let plen = usize::try_from(entry.payload_len).ok()?;
-        let mut buf = vec![0u8; plen + 8];
-        self.file.seek(SeekFrom::Start(entry.offset + 4)).ok()?;
-        self.file.read_exact(&mut buf).ok()?;
-        let stored_sum = u64::from_be_bytes(buf[plen..].try_into().ok()?);
-        if checksum(&buf[..plen]) != stored_sum {
-            return None;
-        }
-        buf.truncate(plen);
-        Some(buf)
-    }
 }
 
 impl Drop for Store {
@@ -546,16 +350,20 @@ impl Drop for Store {
     }
 }
 
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_bytes(b"dsa-store-record-v1");
-    h.write_bytes(payload);
-    h.finish()
+/// Indexes `key` at `at`, its latest record.
+fn note_record(index: &mut HashMap<u64, RecordRef>, order: &mut Vec<u64>, key: u64, at: RecordRef) {
+    if index.insert(key, at).is_some() {
+        // Re-appended key (collision overwrite): its recency moves to
+        // the new position.
+        order.retain(|&k| k != key);
+    }
+    order.push(key);
 }
 
 /// A payload split into its parts (spec bytes still encoded, run
 /// decoded).
 struct Record {
+    key: u64,
     spec: Vec<u8>,
     run: SpannerRun,
 }
@@ -564,7 +372,7 @@ struct Record {
 /// structure is inconsistent (the record is treated as corrupt).
 fn decode_payload(payload: &[u8]) -> Option<Record> {
     let mut r = Cursor { buf: payload };
-    let _key = r.u64()?;
+    let key = r.u64()?;
     let spec_len = r.u32()? as usize; // u32 -> usize: widening on every supported target
     let spec = r.bytes(spec_len)?.to_vec();
     let run_len = r.u32()? as usize; // u32 -> usize: widening on every supported target
@@ -572,7 +380,7 @@ fn decode_payload(payload: &[u8]) -> Option<Record> {
         return None; // trailing junk (or shortfall) inside the frame
     }
     let run = decode_run(r.buf)?;
-    Some(Record { spec, run })
+    Some(Record { key, spec, run })
 }
 
 /// Flat big-endian encoding of a completed [`SpannerRun`].
@@ -780,7 +588,7 @@ mod tests {
         {
             let mut store = Store::open(&dir).unwrap();
             store.append(k1, &v1, &r1).unwrap();
-            full_len = store.end;
+            full_len = store.log.end();
             store.append(k2, &v2, &r2).unwrap();
         }
         // Cut the second record short (mid-payload).
@@ -811,7 +619,7 @@ mod tests {
         {
             let mut store = Store::open(&dir).unwrap();
             store.append(k1, &v1, &r1).unwrap();
-            first_end = store.end;
+            first_end = store.log.end();
             store.append(k2, &v2, &r2).unwrap();
         }
         // Flip a byte of the FIRST record's checksum; the second

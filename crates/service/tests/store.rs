@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use dsa_core::dist::VariantInstance;
 use dsa_graphs::gen;
-use dsa_service::{wire, JobSpec, Service, ServiceConfig};
+use dsa_service::{wire, GraphSpec, JobSpec, Service, ServiceConfig};
 
 /// A fresh per-test store directory (no tempfile dependency).
 fn store_dir(tag: &str) -> PathBuf {
@@ -210,6 +210,42 @@ fn dropped_records_are_counted_and_exported() {
         text.contains(&format!("spanner_store_records_dropped_total {dropped}")),
         "exposition missing the dropped-records sample"
     );
+    http.shutdown();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The named-graph log is recovered from the same directory and
+    // counts into the same metric: a flipped checksum byte in an
+    // otherwise intact `graphs.log` is exactly one dropped record.
+    let dir = store_dir("dropcount-graphs");
+    {
+        let service = Service::new(&persistent_cfg(&dir));
+        service
+            .graph_create(GraphSpec {
+                id: "g".into(),
+                instance: VariantInstance::Undirected {
+                    graph: dsa_graphs::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+                },
+                config: dsa_core::dist::EngineConfig::seeded(1),
+            })
+            .expect("create graph");
+    }
+    let graphs_log = dir.join("graphs.log");
+    let mut bytes = std::fs::read(&graphs_log).expect("graphs.log exists");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x5a;
+    std::fs::write(&graphs_log, &bytes).unwrap();
+    let service = Service::new(&persistent_cfg(&dir));
+    let m = service.metrics();
+    assert_eq!(m.store_records_dropped, 1, "the graph-log drop is exported");
+    assert!(m
+        .to_prometheus()
+        .contains("spanner_store_records_dropped_total 1\n"));
+    assert!(
+        service.graph_meta("g").is_err(),
+        "a dropped create never replays"
+    );
+    drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
