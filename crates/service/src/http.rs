@@ -1529,8 +1529,8 @@ fn field_str(v: &Json, what: &str) -> Result<String, JobError> {
 // ---------------------------------------------------------------------
 
 /// A blocking keep-alive client for the HTTP facade, used by
-/// `spanner-cli --http`, the `exp_http` bench, the HTTP self-check,
-/// and the integration tests.
+/// `spanner-cli --http`, the `exp_http` bench, and the integration
+/// tests.
 pub struct HttpClient {
     stream: TcpStream,
     /// The resolved peer address, kept so retries can reconnect after

@@ -164,8 +164,8 @@ impl ServiceMetrics {
 
     /// Classifying a submission counts it: `submitted` and the class
     /// advance under one lock, so the `submitted == hits + misses +
-    /// coalesced` identity holds at every instant a snapshot can
-    /// observe.
+    /// coalesced + shed` identity holds at every instant a snapshot
+    /// can observe.
     pub fn on_cache_hit(&self) {
         let mut c = self.classified.lock();
         c.submitted += 1;
@@ -317,9 +317,9 @@ impl ServiceMetrics {
 
     /// A point-in-time view. The classification counters are copied
     /// under their shared lock, so `jobs_submitted == cache_hits +
-    /// cache_misses + coalesced` holds in *every* snapshot, including
-    /// ones taken while submissions race; the remaining counters are
-    /// advisory (read individually).
+    /// cache_misses + coalesced + shed` holds in *every* snapshot,
+    /// including ones taken while submissions race; the remaining
+    /// counters are advisory (read individually).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let latency = self.latency.lock().clone();
         let hist = *self.hist.lock();

@@ -1,7 +1,8 @@
 //! Graceful-drain test against the real `spanner-serve` binary:
 //! SIGTERM under load must stop accepting, let every in-flight job
-//! finish, and exit 0 — with zero delivered-but-wrong responses. The
-//! single-writer store lock is exercised across the restart too.
+//! finish, flush the `--trace-dir` flight recorder, and exit 0 — with
+//! zero delivered-but-wrong responses. The single-writer store lock is
+//! exercised across the restart too.
 
 #![cfg(unix)]
 
@@ -12,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use dsa_core::dist::VariantInstance;
 use dsa_graphs::gen;
+use dsa_runtime::json::Json;
 use dsa_service::{Client, JobSpec, RetryPolicy, Service, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,7 +76,14 @@ fn sigterm_under_load_drains_and_loses_no_delivered_response() {
         .map(|spec| reference_service.run(spec).unwrap())
         .collect();
 
-    let (child, addr) = start_server(&["--drain-timeout", "30"]);
+    let trace_dir = std::env::temp_dir().join(format!("dsa-drain-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&trace_dir);
+    let (child, addr) = start_server(&[
+        "--drain-timeout",
+        "30",
+        "--trace-dir",
+        trace_dir.to_str().unwrap(),
+    ]);
     // Load: three retrying clients loop over the specs until the
     // server goes away; the SIGTERM lands mid-stream. Everything a
     // client *received* must match the reference — a drained server
@@ -121,6 +130,23 @@ fn sigterm_under_load_drains_and_loses_no_delivered_response() {
     let mut child = child;
     let status = wait_with_deadline(&mut child, Duration::from_secs(30));
     assert_eq!(status.code(), Some(0), "drain must exit 0");
+
+    // The drain flushed the flight recorder: well-formed JSONL events,
+    // deliveries among them.
+    let trace = trace_dir.join(format!("trace-{}.jsonl", child.id()));
+    let text = std::fs::read_to_string(&trace).expect("trace file written on drain");
+    for line in text.lines() {
+        let event = Json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"));
+        assert!(
+            event.get("trace").is_some() && event.get("name").is_some(),
+            "trace line without trace/name: {line}"
+        );
+    }
+    assert!(
+        text.contains("\"name\":\"job.delivered\""),
+        "no job.delivered event in the final flush"
+    );
+    let _ = std::fs::remove_dir_all(&trace_dir);
 }
 
 #[test]

@@ -2,14 +2,17 @@
 //! both surfaces, the determinism contract (any insert/delete
 //! interleaving serves a spanner byte-identical to a from-scratch
 //! solve of the final edge set — property-tested on all four
-//! variants), crash-mid-PATCH recovery of the graph delta log, and the
-//! v1-vs-v2 protocol regression (old clients keep working against a
-//! v2 server).
+//! variants), a 1000-delta insert stream whose incremental upkeep must
+//! beat from-scratch solves, a warm restart that re-serves every
+//! graph's spanner byte-identically from the store, crash-mid-PATCH
+//! recovery of the graph delta log, and the v1-vs-v2 protocol
+//! regression (old clients keep working against a v2 server).
 
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,8 +21,8 @@ use rand::SeedableRng;
 use dsa_core::dist::{EngineConfig, VariantInstance, VariantKind};
 use dsa_graphs::{gen, DiGraph, EdgeSet, EdgeWeights, Graph};
 use dsa_service::{
-    wire, Client, DeltaOp, EdgeRole, GraphSpec, HttpClient, HttpServer, JobSpec, Server, Service,
-    ServiceConfig,
+    wire, Client, DeltaOp, EdgeRole, GraphSpec, HttpClient, HttpServer, JobError, JobSpec, Server,
+    Service, ServiceConfig,
 };
 
 /// A fresh per-test store directory (no tempfile dependency).
@@ -229,6 +232,8 @@ fn lifecycle_works_across_tcp_and_http() {
     assert!(!created.existed);
     assert_eq!(created.version, 0);
     assert!(created.spanner_size > 0);
+    let again = hc.graph_create(&spec).expect("re-create");
+    assert!(again.existed, "HTTP re-create was not idempotent");
 
     let mut mirror = Mirror::of(&instance);
     let meta = hc.graph_get("life").expect("get");
@@ -283,6 +288,10 @@ fn lifecycle_works_across_tcp_and_http() {
         hc.graph_get("life").is_err(),
         "HTTP still serves a retired graph"
     );
+    match tcp.graph_patch("life", &[DeltaOp::Delete { u: du, v: dv }]) {
+        Err(JobError::Remote(_)) => {}
+        other => panic!("patch of a retired graph: expected an error, got {other:?}"),
+    }
 
     http.shutdown();
     server.shutdown();
@@ -350,6 +359,240 @@ proptest! {
             assert_matches_from_scratch(&service, &id, &mirror, job_seed);
         }
     }
+}
+
+#[test]
+fn delta_stream_commutes_and_every_graph_survives_a_warm_restart() {
+    let dir = store_dir("stream");
+    let service = Arc::new(Service::open(&persistent_cfg(&dir)).expect("open"));
+    let server = Server::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind tcp");
+    let http = HttpServer::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind http");
+    let mut tcp = Client::connect(server.addr()).expect("tcp connect");
+    let mut hc = HttpClient::connect(http.addr()).expect("http connect");
+
+    // One graph per variant, created over TCP and patched over HTTP
+    // with one insert and one delete. A patch containing a delete
+    // invalidates the cover, so both of its ops classify recomputed.
+    let mut ids = Vec::new();
+    for (i, instance) in variant_instances(21).into_iter().enumerate() {
+        let kind = instance.kind();
+        let (id, seed) = (format!("var-{kind}"), 21 + i as u64);
+        let spec = GraphSpec {
+            id: id.clone(),
+            instance: instance.clone(),
+            config: EngineConfig::seeded(seed),
+        };
+        assert!(!tcp.graph_create(&spec).expect("create").existed);
+        let mut mirror = Mirror::of(&instance);
+        let (du, dv) = {
+            let r = mirror.recs[mirror.recs.len() - 1];
+            (r.0, r.1)
+        };
+        let (fu, fv) = (0..mirror.n)
+            .flat_map(|u| ((u + 1)..mirror.n).map(move |v| (u, v)))
+            .find(|&(u, v)| mirror.position(u, v).is_none())
+            .expect("an absent pair to insert");
+        let (weight, role) = match kind {
+            VariantKind::Weighted => (Some(5), None),
+            VariantKind::ClientServer => (None, Some(EdgeRole::Both)),
+            _ => (None, None),
+        };
+        let ops = [
+            DeltaOp::Insert {
+                u: fu,
+                v: fv,
+                weight,
+                role,
+            },
+            DeltaOp::Delete { u: du, v: dv },
+        ];
+        let patched = hc.graph_patch(&id, &ops).expect("patch");
+        mirror.insert(fu, fv, weight.unwrap_or(0), role);
+        mirror.delete(du, dv);
+        assert_eq!(
+            (patched.version, patched.applied, patched.edges),
+            (2, 2, mirror.recs.len()),
+            "{kind} patch"
+        );
+        assert_eq!(
+            patched.classes.recomputed, 2,
+            "{kind}: {:?}",
+            patched.classes
+        );
+        assert_matches_from_scratch(&service, &id, &mirror, seed);
+        ids.push(id);
+    }
+
+    // A 1000-delta insert stream against a star graph, one op per
+    // patch over TCP. Spoke-to-spoke chords commute through the
+    // centre's covering 2-paths; pendant edges to fresh vertices need
+    // repair, and once accumulated repair debt crosses the threshold
+    // the registry recomputes — so the stream exercises all three
+    // classes.
+    const SPOKES: usize = 300;
+    const CHORDS: usize = 700;
+    const PENDANTS: usize = 300;
+    const STREAM_SEED: u64 = 11;
+    let star = VariantInstance::Undirected {
+        graph: Graph::from_edges(1 + SPOKES + PENDANTS, (1..=SPOKES).map(|v| (0, v))),
+    };
+    let created = tcp
+        .graph_create(&GraphSpec {
+            id: "stream".to_string(),
+            instance: star.clone(),
+            config: EngineConfig::seeded(STREAM_SEED),
+        })
+        .expect("stream create");
+    assert!(!created.existed);
+    // Chords in lexicographic order over spoke pairs, then pendants,
+    // each joining a spoke to a brand-new vertex.
+    let mut ops: Vec<(usize, usize)> = (1..=SPOKES)
+        .flat_map(|u| ((u + 1)..=SPOKES).map(move |v| (u, v)))
+        .take(CHORDS)
+        .collect();
+    ops.extend((0..PENDANTS).map(|j| (1 + (j % SPOKES), 1 + SPOKES + j)));
+    let mut mirror = Mirror::of(&star);
+    let maintenance = Instant::now();
+    for &(u, v) in &ops {
+        let op = DeltaOp::Insert {
+            u,
+            v,
+            weight: None,
+            role: None,
+        };
+        tcp.graph_patch("stream", &[op])
+            .unwrap_or_else(|e| panic!("stream patch +{u} {v}: {e}"));
+        mirror.insert(u, v, 0, None);
+    }
+    let maintenance = maintenance.elapsed().as_secs_f64();
+    let meta = tcp.graph_get("stream").expect("stream get");
+    assert_eq!(
+        (meta.version, meta.edges),
+        (ops.len() as u64, SPOKES + ops.len())
+    );
+    let classes = meta.classes;
+    assert_eq!(
+        classes.commuted + classes.repaired + classes.recomputed,
+        ops.len() as u64,
+        "{classes:?}"
+    );
+    // A stream that is >= 50% covered inserts must commute that share.
+    assert!(
+        classes.commuted >= ops.len() as u64 / 2,
+        "expected >= {} commuted deltas: {classes:?}",
+        ops.len() / 2
+    );
+    assert!(
+        classes.repaired > 0 && classes.recomputed > 0,
+        "the stream must exercise repair and recompute too: {classes:?}"
+    );
+    assert_matches_from_scratch(&service, "stream", &mirror, STREAM_SEED);
+
+    // Maintenance must beat recomputing from scratch after every
+    // delta. Estimate the per-delta solve cost by timing fresh solves
+    // of prefix snapshots (distinct cache keys, so every one is a real
+    // engine run) and extrapolating to one solve per delta.
+    let prefixes = [100, 300, 500, 700, 900];
+    let solves = Instant::now();
+    for &p in &prefixes {
+        let mut snap = Mirror::of(&star);
+        for &(u, v) in &ops[..p] {
+            snap.insert(u, v, 0, None);
+        }
+        tcp.run(&JobSpec::new(snap.instance(), STREAM_SEED))
+            .unwrap_or_else(|e| panic!("prefix {p} solve: {e}"));
+    }
+    let per_solve = solves.elapsed().as_secs_f64() / prefixes.len() as f64;
+    let extrapolated = per_solve * ops.len() as f64;
+    assert!(
+        maintenance < extrapolated,
+        "incremental maintenance ({maintenance:.3}s for {} deltas) did not beat {} \
+         extrapolated from-scratch solves ({extrapolated:.3}s)",
+        ops.len(),
+        ops.len()
+    );
+    // The delta-classification summary, one JSON line on stdout.
+    println!(
+        "{{\"graphs_self_check\":{{\"deltas\":{},\"commuted\":{},\"repaired\":{},\
+         \"recomputed\":{},\"maintenance_secs\":{maintenance:.6},\
+         \"per_solve_secs\":{per_solve:.6},\"extrapolated_secs\":{extrapolated:.6}}}}}",
+        ops.len(),
+        classes.commuted,
+        classes.repaired,
+        classes.recomputed,
+    );
+    ids.push("stream".to_string());
+
+    // The per-graph gauges, as served.
+    let text = hc.metrics_prometheus().expect("prometheus");
+    let live = format!("spanner_graphs_live {}", ids.len());
+    assert!(text.lines().any(|l| l == live), "exposition lacks `{live}`");
+    let commuted: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("spanner_graph_deltas_by_class_total{class=\"commuted\"} "))
+        .expect("commuted delta counter")
+        .parse()
+        .expect("commuted counter parses");
+    assert!(
+        commuted >= classes.commuted,
+        "service-wide {commuted} < stream's"
+    );
+
+    // Capture every graph's spanner bytes on both surfaces, then
+    // restart on the same directory.
+    let mut raws = Vec::new();
+    for id in &ids {
+        let version = tcp.graph_get(id).expect("get").version;
+        let t = tcp.graph_spanner_raw(id).expect("tcp spanner");
+        let (status, h) = hc.graph_spanner_raw(id).expect("http spanner");
+        assert_eq!(status, 200, "{id}");
+        raws.push((version, t, h));
+    }
+    http.shutdown();
+    server.shutdown();
+    drop((tcp, hc, service));
+
+    // Warm restart: replaying the create+delta log rebuilds every
+    // graph, and both surfaces re-serve every spanner byte-identically
+    // from the store, without engine runs. The reopened LRU is too
+    // small to warm-hold every record, so some answers must travel the
+    // verified disk path.
+    let service = Arc::new(
+        Service::open(&ServiceConfig {
+            cache_capacity: 2,
+            ..persistent_cfg(&dir)
+        })
+        .expect("reopen"),
+    );
+    assert_eq!(service.graphs_live(), ids.len());
+    let server = Server::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind tcp");
+    let http = HttpServer::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind http");
+    let mut tcp = Client::connect(server.addr()).expect("tcp reconnect");
+    let mut hc = HttpClient::connect(http.addr()).expect("http reconnect");
+    for (id, (version, t, h)) in ids.iter().zip(&raws) {
+        assert_eq!(tcp.graph_get(id).expect("get").version, *version, "{id}");
+        let t2 = tcp.graph_spanner_raw(id).expect("tcp spanner");
+        assert_eq!(&t2, t, "{id}: TCP spanner not byte-identical after restart");
+        let (status, h2) = hc.graph_spanner_raw(id).expect("http spanner");
+        assert_eq!(status, 200, "{id}");
+        assert_eq!(
+            &h2, h,
+            "{id}: HTTP spanner not byte-identical after restart"
+        );
+    }
+    let m = service.metrics();
+    assert_eq!(
+        m.cache_misses, 0,
+        "post-restart spanner reads ran the engine"
+    );
+    assert!(
+        m.disk_hits > 0,
+        "post-restart reads never touched the store"
+    );
+    http.shutdown();
+    server.shutdown();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -126,7 +126,7 @@ fn serves_all_variants_with_cache_byte_identity() {
     assert_eq!(m.cache_hits, 4);
     assert_eq!(
         m.jobs_submitted,
-        m.cache_hits + m.cache_misses + m.coalesced
+        m.cache_hits + m.cache_misses + m.coalesced + m.shed
     );
 }
 
@@ -161,7 +161,7 @@ fn tcp_and_http_share_one_cache() {
     assert_eq!((m.cache_misses, m.cache_hits), (2, 2));
     assert_eq!(
         m.jobs_submitted,
-        m.cache_hits + m.cache_misses + m.coalesced
+        m.cache_hits + m.cache_misses + m.coalesced + m.shed
     );
 }
 
@@ -174,9 +174,10 @@ fn metrics_route_serves_a_coherent_snapshot() {
     let parsed = Json::parse(&client.metrics_json().expect("metrics")).expect("json");
     let field = |k: &str| parsed.get(k).and_then(Json::as_u64).expect(k);
     assert_eq!(field("jobs_submitted"), 2);
+    assert_eq!(field("cache_hits"), 1, "the rerun is a hit");
     assert_eq!(
         field("jobs_submitted"),
-        field("cache_hits") + field("cache_misses") + field("coalesced")
+        field("cache_hits") + field("cache_misses") + field("coalesced") + field("jobs_shed")
     );
     assert!(parsed.get("p50_latency_us").is_some());
     assert!(parsed.get("p95_latency_us").is_some());
@@ -186,18 +187,22 @@ fn metrics_route_serves_a_coherent_snapshot() {
 }
 
 /// Parses the `spanner_jobs_total` sample and the sum of the
-/// `spanner_jobs_by_class_total` series out of a text exposition.
+/// `spanner_jobs_by_class_total` series out of a text exposition,
+/// asserting all four class series (hit/miss/coalesced/shed) are there.
 fn prometheus_jobs_and_class_sum(text: &str) -> (u64, u64) {
     let sample = |line: &str| -> u64 { line.rsplit(' ').next().unwrap().parse().unwrap() };
     let mut jobs = None;
     let mut class_sum = 0;
+    let mut class_series = 0;
     for line in text.lines() {
         if line.starts_with("spanner_jobs_total ") {
             jobs = Some(sample(line));
         } else if line.starts_with("spanner_jobs_by_class_total{") {
             class_sum += sample(line);
+            class_series += 1;
         }
     }
+    assert_eq!(class_series, 4, "expected 4 class series: {text}");
     (jobs.expect("spanner_jobs_total sample"), class_sum)
 }
 
@@ -246,7 +251,8 @@ fn concurrent_prometheus_scrapes_under_load_stay_coherent() {
     // The hammer test: writers push a mix of fresh and duplicate jobs
     // through the facade while scrapers pull both metric formats.
     // Every scraped snapshot — JSON and Prometheus alike — must
-    // satisfy `jobs = hits + misses + coalesced`, mid-load included.
+    // satisfy `jobs = hits + misses + coalesced + shed`, mid-load
+    // included.
     let server = start_server();
     let addr = server.addr();
     std::thread::scope(|scope| {
@@ -270,7 +276,10 @@ fn concurrent_prometheus_scrapes_under_load_stay_coherent() {
                     let field = |k: &str| parsed.get(k).and_then(Json::as_u64).expect(k);
                     assert_eq!(
                         field("jobs_submitted"),
-                        field("cache_hits") + field("cache_misses") + field("coalesced"),
+                        field("cache_hits")
+                            + field("cache_misses")
+                            + field("coalesced")
+                            + field("jobs_shed"),
                         "JSON snapshot violated the invariant mid-load"
                     );
                     let text = client.metrics_prometheus().expect("scrape prometheus");
@@ -287,7 +296,7 @@ fn concurrent_prometheus_scrapes_under_load_stay_coherent() {
     assert_eq!(m.jobs_submitted, 18);
     assert_eq!(
         m.jobs_submitted,
-        m.cache_hits + m.cache_misses + m.coalesced
+        m.cache_hits + m.cache_misses + m.coalesced + m.shed
     );
 }
 

@@ -1,37 +1,24 @@
-//! Smoke tests over the real binaries: `spanner-serve --self-check`
-//! must pass end to end (ephemeral port, all four variants, cache
-//! byte-identity, error handling), and bad usage must exit non-zero.
+//! Smoke tests over the real binaries' command lines: bad usage must
+//! exit non-zero with the usage line, and `--help` must succeed.
 
 use std::process::Command;
 
 #[test]
-fn spanner_serve_self_check_passes() {
-    let out = Command::new(env!("CARGO_BIN_EXE_spanner-serve"))
-        .arg("--self-check")
-        .output()
-        .expect("run spanner-serve");
-    assert!(
-        out.status.success(),
-        "self-check failed\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("self-check ok"));
-}
-
-#[test]
-fn spanner_serve_http_self_check_passes() {
-    let out = Command::new(env!("CARGO_BIN_EXE_spanner-serve"))
-        .args(["--self-check", "--http"])
-        .output()
-        .expect("run spanner-serve");
-    assert!(
-        out.status.success(),
-        "http self-check failed\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("self-check ok"));
+fn retired_self_check_flags_are_usage_errors() {
+    // `spanner-serve` only serves: a script still passing one of the
+    // old in-process check flags must fail loudly, not start a server.
+    for flag in ["--self-check", "--http", "--chaos", "--graphs"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_spanner-serve"))
+            .arg(flag)
+            .output()
+            .expect("run spanner-serve");
+        assert!(!out.status.success(), "{flag} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("usage: spanner-serve"),
+            "{flag}: no usage line\nstderr: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -42,6 +29,16 @@ fn http_flag_without_self_check_is_usage_error() {
         .expect("run spanner-serve");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--http-port"));
+}
+
+#[test]
+fn graphs_flag_without_self_check_is_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_spanner-serve"))
+        .arg("--graphs")
+        .output()
+        .expect("run spanner-serve");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--self-check"));
 }
 
 #[test]
@@ -72,36 +69,12 @@ fn explicit_help_succeeds_on_stdout() {
         assert!(out.status.success(), "--help must exit 0 for {bin}");
         assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
     }
-}
-
-#[test]
-fn spanner_serve_graphs_self_check_passes() {
     let out = Command::new(env!("CARGO_BIN_EXE_spanner-serve"))
-        .args(["--self-check", "--graphs"])
+        .arg("--help")
         .output()
-        .expect("run spanner-serve");
-    assert!(
-        out.status.success(),
-        "graphs self-check failed\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("self-check ok"));
-    // The one-line delta-classification summary CI extracts into
-    // graph_deltas.json must be on stdout.
-    assert!(
-        stdout.contains("{\"graphs_self_check\":{\"deltas\":"),
-        "missing artifact line\nstdout: {stdout}"
-    );
-}
-
-#[test]
-fn graphs_flag_without_self_check_is_usage_error() {
-    let out = Command::new(env!("CARGO_BIN_EXE_spanner-serve"))
-        .arg("--graphs")
-        .output()
-        .expect("run spanner-serve");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--self-check"));
+        .expect("run --help");
+    let usage = String::from_utf8_lossy(&out.stdout);
+    for retired in ["--self-check", "--http ", "--http]", "--chaos", "--graphs"] {
+        assert!(!usage.contains(retired), "usage lists {retired}: {usage}");
+    }
 }

@@ -1,11 +1,13 @@
 //! Integration tests for the persistent result store, driven entirely
-//! through the public [`Service`] API: restart byte-identity across
-//! all four variants (property-tested), and corruption recovery —
-//! truncated tails, flipped checksum bytes, and garbage headers must
-//! cost records, never correctness or startup.
+//! through the public [`Service`] API and its two frontends: restart
+//! byte-identity across all four variants (property-tested, and over
+//! both TCP and HTTP with the served metrics intact), and corruption
+//! recovery — truncated tails, flipped checksum bytes, and garbage
+//! headers must cost records, never correctness or startup.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -13,7 +15,10 @@ use rand::SeedableRng;
 
 use dsa_core::dist::VariantInstance;
 use dsa_graphs::gen;
-use dsa_service::{wire, GraphSpec, JobSpec, Service, ServiceConfig};
+use dsa_runtime::json::Json;
+use dsa_service::{
+    wire, Client, GraphSpec, HttpClient, HttpServer, JobSpec, Server, Service, ServiceConfig,
+};
 
 /// A fresh per-test store directory (no tempfile dependency).
 fn store_dir(tag: &str) -> PathBuf {
@@ -91,7 +96,7 @@ fn serve_all(
     let m = service.metrics();
     assert_eq!(
         m.jobs_submitted,
-        m.cache_hits + m.cache_misses + m.coalesced,
+        m.cache_hits + m.cache_misses + m.coalesced + m.shed,
         "classification invariant"
     );
     assert!(m.disk_hits <= m.cache_hits);
@@ -188,21 +193,18 @@ fn dropped_records_are_counted_and_exported() {
     bytes[mid] ^= 0x5a;
     std::fs::write(&path, &bytes).unwrap();
 
-    let service = std::sync::Arc::new(Service::new(&persistent_cfg(&dir)));
+    let service = Arc::new(Service::new(&persistent_cfg(&dir)));
     let m = service.metrics();
     assert!(
         m.store_records_dropped >= 1,
         "recovery dropped a corrupt record but the counter reads 0"
     );
-    let http =
-        dsa_service::HttpServer::with_service("127.0.0.1:0", std::sync::Arc::clone(&service))
-            .expect("bind http");
-    let mut client = dsa_service::HttpClient::connect(http.addr()).expect("connect");
-    let parsed = dsa_runtime::json::Json::parse(&client.metrics_json().expect("metrics"))
-        .expect("metrics json");
+    let http = HttpServer::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind http");
+    let mut client = HttpClient::connect(http.addr()).expect("connect");
+    let parsed = Json::parse(&client.metrics_json().expect("metrics")).expect("metrics json");
     let dropped = parsed
         .get("store_records_dropped")
-        .and_then(dsa_runtime::json::Json::as_u64)
+        .and_then(Json::as_u64)
         .expect("store_records_dropped field");
     assert_eq!(dropped, m.store_records_dropped);
     let text = client.metrics_prometheus().expect("prometheus");
@@ -270,24 +272,100 @@ fn garbage_header_starts_fresh_without_failing() {
 #[test]
 fn two_services_over_time_share_work_not_a_process() {
     // The store is the only channel between these two service
-    // lifetimes; the second must not re-run the engine at all, and
-    // `store_records` must count distinct keys, not appends.
+    // lifetimes, each served over both frontends: the second must not
+    // re-run the engine at all and must answer byte-identically on
+    // both surfaces, and `store_records` must count distinct keys, not
+    // appends.
     let dir = store_dir("lifetimes");
     let specs = four_variant_specs(3);
+    let (mut tcp_cold, mut http_cold) = (Vec::new(), Vec::new());
     {
-        let service = Service::new(&persistent_cfg(&dir));
+        let service = Arc::new(Service::new(&persistent_cfg(&dir)));
+        let server = Server::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind tcp");
+        let http =
+            HttpServer::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind http");
+        let mut tcp = Client::connect(server.addr()).expect("tcp connect");
+        let mut hc = HttpClient::connect(http.addr()).expect("http connect");
         for s in &specs {
-            service.run(s).unwrap();
-            service.run(s).unwrap(); // in-memory repeat, no new record
+            tcp_cold.push(tcp.run_raw(s).unwrap());
+            // The HTTP repeat is an in-memory hit: no new record.
+            let (status, body) = hc.run_raw(s).unwrap();
+            assert_eq!(status, 200);
+            http_cold.push(body);
         }
-        assert_eq!(service.metrics().store_records, 4);
+        let m = service.metrics();
+        assert_eq!(m.store_records, 4);
+        assert_eq!(m.disk_hits, 0);
+        assert_eq!(
+            m.jobs_submitted,
+            m.cache_hits + m.cache_misses + m.coalesced + m.shed
+        );
+        http.shutdown();
+        server.shutdown();
     }
-    let service = Service::new(&persistent_cfg(&dir));
-    for s in &specs {
-        assert!(service.run(s).unwrap().converged);
+    // The reopened LRU is too small to warm-hold every record, so some
+    // answers must travel the verified disk path.
+    let service = Arc::new(Service::new(&ServiceConfig {
+        cache_capacity: specs.len() / 2,
+        ..persistent_cfg(&dir)
+    }));
+    let server = Server::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind tcp");
+    let http = HttpServer::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind http");
+    let mut tcp = Client::connect(server.addr()).expect("tcp connect");
+    let mut hc = HttpClient::connect(http.addr()).expect("http connect");
+    for (i, s) in specs.iter().enumerate() {
+        let kind = s.instance.kind();
+        assert_eq!(
+            tcp.run_raw(s).unwrap(),
+            tcp_cold[i],
+            "{kind}: TCP bytes changed"
+        );
+        let (status, body) = hc.run_raw(s).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body, http_cold[i], "{kind}: HTTP bytes changed");
     }
     let m = service.metrics();
-    assert_eq!(m.cache_misses, 0);
+    assert_eq!(m.cache_misses, 0, "the restart re-ran the engine");
+    assert!(m.disk_hits > 0, "expected verified disk hits, got none");
+    assert!(m.disk_hits <= m.cache_hits);
     assert_eq!(m.store_records, 4);
+    assert_eq!(
+        m.jobs_submitted,
+        m.cache_hits + m.cache_misses + m.coalesced + m.shed
+    );
+
+    // The same facts read back through the facade, in both formats.
+    let json = hc.metrics_json().expect("metrics");
+    let parsed = Json::parse(&json).expect("metrics json");
+    let field = |k: &str| parsed.get(k).and_then(Json::as_u64).expect(k);
+    assert_eq!(
+        field("jobs_submitted"),
+        field("cache_hits") + field("cache_misses") + field("coalesced") + field("jobs_shed"),
+        "served metrics violate the invariant: {json}"
+    );
+    assert!(field("disk_hits") > 0, "served metrics report no disk hits");
+    let text = hc.metrics_prometheus().expect("prometheus");
+    assert!(text.starts_with("# HELP "), "{text}");
+    for line in [
+        format!("spanner_jobs_total {}", m.jobs_submitted),
+        format!(
+            "spanner_jobs_by_class_total{{class=\"cache_hit\"}} {}",
+            m.cache_hits
+        ),
+        format!(
+            "spanner_jobs_by_class_total{{class=\"cache_miss\"}} {}",
+            m.cache_misses
+        ),
+        format!(
+            "spanner_jobs_by_class_total{{class=\"coalesced\"}} {}",
+            m.coalesced
+        ),
+        format!("spanner_jobs_by_class_total{{class=\"shed\"}} {}", m.shed),
+    ] {
+        assert!(text.lines().any(|l| l == line), "exposition lacks `{line}`");
+    }
+    http.shutdown();
+    server.shutdown();
+    drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,9 @@
 //! Integration tests of the `dsa-service` serving subsystem: a live
 //! TCP server on an ephemeral port driven concurrently by client
 //! threads across all four variants, with outputs checked by the
-//! independent verifiers, counters reconciled, and determinism
-//! asserted across worker counts.
+//! independent verifiers, counters reconciled, determinism asserted
+//! across worker counts, and an invalid spec answered with a wire
+//! error on a connection that keeps working.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,8 +15,8 @@ use spanner_repro::core::dist::VariantInstance;
 use spanner_repro::core::verify::{
     is_client_server_2_spanner, is_k_spanner, is_k_spanner_directed,
 };
-use spanner_repro::graphs::{gen, EdgeSet};
-use spanner_repro::service::{Client, JobSpec, Server, Service, ServiceConfig};
+use spanner_repro::graphs::{gen, EdgeSet, Graph};
+use spanner_repro::service::{Client, JobError, JobSpec, Server, Service, ServiceConfig};
 
 /// One seeded spec per variant (plus a second undirected instance so
 /// concurrency exceeds the variant count).
@@ -116,12 +117,15 @@ fn wire_serves_variants_concurrently_and_counters_reconcile() {
 
     let m = server.service().metrics();
     // Every submission is classified exactly once: jobs = hits +
-    // misses (+ coalesced joins, zero here or not depending on
-    // scheduling — distinct specs per thread mean no cross-thread
-    // duplicates, and the second pass of each thread is strictly
-    // after its first, so nothing can coalesce).
-    assert_eq!(m.coalesced, 0);
-    assert_eq!(m.jobs_submitted, m.cache_hits + m.cache_misses);
+    // misses + coalesced + shed. Distinct specs per thread mean no
+    // cross-thread duplicates, and the second pass of each thread is
+    // strictly after its first, so nothing can coalesce; the default
+    // queue is deep enough that nothing is shed.
+    assert_eq!((m.coalesced, m.shed), (0, 0));
+    assert_eq!(
+        m.jobs_submitted,
+        m.cache_hits + m.cache_misses + m.coalesced + m.shed
+    );
     assert_eq!(m.cache_misses, specs.len() as u64);
     assert_eq!(m.cache_hits, specs.len() as u64);
     assert_eq!(m.jobs_completed, m.jobs_submitted);
@@ -174,6 +178,23 @@ fn wire_stats_and_ping_roundtrip() {
     let json = client.stats_json().expect("stats");
     assert!(json.contains("\"jobs_submitted\":1"), "stats: {json}");
     assert!(json.contains("\"cache_hit_rate\""), "stats: {json}");
+
+    // An invalid spec is a wire error, not a dead server: the same
+    // connection still answers afterwards.
+    let mut invalid = JobSpec::new(
+        VariantInstance::ClientServer {
+            graph: Graph::from_edges(3, [(0, 1), (1, 2)]),
+            clients: EdgeSet::full(2),
+            servers: EdgeSet::full(2),
+        },
+        0,
+    );
+    invalid.config.accept_denominator = 0;
+    match client.run(&invalid) {
+        Err(JobError::Remote(_)) => {}
+        other => panic!("invalid spec: expected a remote error, got {other:?}"),
+    }
+    client.ping().expect("ping after a remote error");
     server.shutdown();
 }
 
@@ -191,7 +212,7 @@ fn per_job_timeout_is_honored_without_poisoning_the_job() {
     hurried.timeout = Some(Duration::from_nanos(1));
     let doomed = service.submit(&hurried).expect("submit");
     match doomed.wait() {
-        Err(spanner_repro::service::JobError::TimedOut) => {}
+        Err(JobError::TimedOut) => {}
         Ok(_) => {} // single-core schedulers may still win the race
         Err(e) => panic!("expected TimedOut, got {e}"),
     }
