@@ -937,6 +937,225 @@ mod tests {
         assert_eq!(s.latency_bucket_counts.iter().sum::<u64>(), 3);
     }
 
+    /// A snapshot with every counter at a distinct non-zero value, the
+    /// sampled gauges set, and histogram samples inside the first
+    /// bucket, on a bound, and past the last bound (`+Inf`); the
+    /// wall-clock fields are pinned.
+    fn populated_snapshot() -> MetricsSnapshot {
+        let m = ServiceMetrics::new();
+        let times = |n: usize, f: &dyn Fn()| (0..n).for_each(|_| f());
+        times(3, &|| m.on_cache_hit());
+        times(2, &|| m.on_disk_hit());
+        times(4, &|| m.on_cache_miss());
+        times(6, &|| m.on_coalesced());
+        times(7, &|| m.on_shed());
+        times(8, &|| m.on_delivered());
+        times(9, &|| m.on_skipped());
+        times(10, &|| m.on_aborted());
+        times(11, &|| m.on_cancelled());
+        times(12, &|| m.on_timed_out());
+        times(13, &|| m.on_invalid());
+        times(14, &|| m.on_connection_timed_out());
+        m.set_store_records(15);
+        m.set_store_dropped(16);
+        m.on_store_read(Duration::from_micros(1_700));
+        m.on_store_read(Duration::from_micros(100));
+        m.on_store_write(Duration::from_micros(2_345_678));
+        m.set_store_recovery(Duration::from_micros(19));
+        m.on_graph_deltas(27, 28, 29);
+        m.on_graph_deltas(1, 1, 1);
+        m.on_executed(30, 210, Duration::from_micros(50));
+        m.on_executed(31, 217, Duration::from_micros(500));
+        m.on_executed(32, 224, Duration::from_micros(7_000));
+        m.on_executed(33, 231, Duration::from_micros(900_000));
+        let mut snap = m.snapshot();
+        snap.store_degraded = 1;
+        snap.graphs_live = 24;
+        snap.queue_depth = 25;
+        snap.in_flight = 26;
+        snap.uptime = Duration::from_millis(1_500);
+        snap.throughput_jobs_per_sec = 5.333;
+        snap
+    }
+
+    /// Splits a flat JSON object into its `"key":value` tokens (commas
+    /// inside an array value do not split).
+    fn json_tokens(json: &str) -> Vec<String> {
+        let body = json
+            .strip_prefix('{')
+            .and_then(|b| b.strip_suffix('}'))
+            .expect("a JSON object");
+        let (mut tokens, mut depth, mut start) = (Vec::new(), 0, 0);
+        for (i, c) in body.char_indices() {
+            match c {
+                '[' => depth += 1,
+                ']' => depth -= 1,
+                ',' if depth == 0 => {
+                    tokens.push(body[start..i].to_string());
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        tokens.push(body[start..].to_string());
+        tokens
+    }
+
+    /// Both renderings of one fully populated snapshot, byte for byte.
+    /// The Prometheus text is pinned whole; the JSON is pinned as its
+    /// set of `"key":value` tokens, so only key order may change.
+    #[test]
+    fn renderings_are_pinned_byte_for_byte() {
+        let snap = populated_snapshot();
+        assert_eq!(snap.to_prometheus(), PINNED_PROMETHEUS);
+        let mut got = json_tokens(&snap.to_json());
+        let mut want: Vec<String> = PINNED_JSON.iter().map(|t| t.to_string()).collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want);
+    }
+
+    const PINNED_PROMETHEUS: &str = "\
+# HELP spanner_build_info Constant 1, labeled with the serving crate and version.\n\
+# TYPE spanner_build_info gauge\n\
+spanner_build_info{crate=\"dsa-service\",version=\"0.1.0\"} 1\n\
+# HELP spanner_jobs_total Jobs accepted by the service (invalid specs excluded).\n\
+# TYPE spanner_jobs_total counter\n\
+spanner_jobs_total 22\n\
+# HELP spanner_jobs_by_class_total Accepted jobs by cache classification; the classes sum to spanner_jobs_total.\n\
+# TYPE spanner_jobs_by_class_total counter\n\
+spanner_jobs_by_class_total{class=\"cache_hit\"} 5\n\
+spanner_jobs_by_class_total{class=\"cache_miss\"} 4\n\
+spanner_jobs_by_class_total{class=\"coalesced\"} 6\n\
+spanner_jobs_by_class_total{class=\"shed\"} 7\n\
+# HELP spanner_disk_hits_total Cache hits served from the persistent store (subset of class cache_hit).\n\
+# TYPE spanner_disk_hits_total counter\n\
+spanner_disk_hits_total 2\n\
+# HELP spanner_jobs_completed_total Responses delivered to waiting callers.\n\
+# TYPE spanner_jobs_completed_total counter\n\
+spanner_jobs_completed_total 8\n\
+# HELP spanner_jobs_skipped_total Scheduled runs skipped because every waiter left first.\n\
+# TYPE spanner_jobs_skipped_total counter\n\
+spanner_jobs_skipped_total 9\n\
+# HELP spanner_jobs_aborted_total Started engine runs abandoned mid-flight after every waiter cancelled.\n\
+# TYPE spanner_jobs_aborted_total counter\n\
+spanner_jobs_aborted_total 10\n\
+# HELP spanner_jobs_cancelled_total Handle cancellations.\n\
+# TYPE spanner_jobs_cancelled_total counter\n\
+spanner_jobs_cancelled_total 11\n\
+# HELP spanner_jobs_timed_out_total Waits that hit their deadline.\n\
+# TYPE spanner_jobs_timed_out_total counter\n\
+spanner_jobs_timed_out_total 12\n\
+# HELP spanner_jobs_invalid_total Specs rejected by validation.\n\
+# TYPE spanner_jobs_invalid_total counter\n\
+spanner_jobs_invalid_total 13\n\
+# HELP spanner_cache_hit_ratio cache_hits / (cache_hits + cache_misses).\n\
+# TYPE spanner_cache_hit_ratio gauge\n\
+spanner_cache_hit_ratio 0.555556\n\
+# HELP spanner_queue_depth Jobs waiting in the worker-pool queue.\n\
+# TYPE spanner_queue_depth gauge\n\
+spanner_queue_depth 25\n\
+# HELP spanner_inflight_jobs Jobs executing or awaiting pickup in the in-flight table.\n\
+# TYPE spanner_inflight_jobs gauge\n\
+spanner_inflight_jobs 26\n\
+# HELP spanner_connections_timed_out_total Connections closed because a request read exceeded its deadline.\n\
+# TYPE spanner_connections_timed_out_total counter\n\
+spanner_connections_timed_out_total 14\n\
+# HELP spanner_store_records Distinct results currently servable from the persistent store.\n\
+# TYPE spanner_store_records gauge\n\
+spanner_store_records 15\n\
+# HELP spanner_store_records_dropped_total Corrupt records dropped by the cache directory's open-time recovery.\n\
+# TYPE spanner_store_records_dropped_total counter\n\
+spanner_store_records_dropped_total 16\n\
+# HELP spanner_store_degraded Set once the store is demoted to memory-only caching after an append failure.\n\
+# TYPE spanner_store_degraded gauge\n\
+spanner_store_degraded 1\n\
+# HELP spanner_store_read_seconds_total Cumulative wall time reading results from the store.\n\
+# TYPE spanner_store_read_seconds_total counter\n\
+spanner_store_read_seconds_total 0.001800\n\
+# HELP spanner_store_write_seconds_total Cumulative wall time appending results to the store.\n\
+# TYPE spanner_store_write_seconds_total counter\n\
+spanner_store_write_seconds_total 2.345678\n\
+# HELP spanner_store_recovery_seconds_total Wall time of the store's open-time recovery scan.\n\
+# TYPE spanner_store_recovery_seconds_total counter\n\
+spanner_store_recovery_seconds_total 0.000019\n\
+# HELP spanner_graphs_live Named graphs currently registered (created minus deleted).\n\
+# TYPE spanner_graphs_live gauge\n\
+spanner_graphs_live 24\n\
+# HELP spanner_graph_deltas_by_class_total Graph PATCH ops by maintenance class (commuted, repaired, recomputed).\n\
+# TYPE spanner_graph_deltas_by_class_total counter\n\
+spanner_graph_deltas_by_class_total{class=\"commuted\"} 28\n\
+spanner_graph_deltas_by_class_total{class=\"repaired\"} 29\n\
+spanner_graph_deltas_by_class_total{class=\"recomputed\"} 30\n\
+# HELP spanner_engine_iterations_total Engine iterations across executed runs.\n\
+# TYPE spanner_engine_iterations_total counter\n\
+spanner_engine_iterations_total 126\n\
+# HELP spanner_engine_local_rounds_total LOCAL rounds across executed runs.\n\
+# TYPE spanner_engine_local_rounds_total counter\n\
+spanner_engine_local_rounds_total 882\n\
+# HELP spanner_engine_run_seconds Engine-run latency over fixed buckets (cache hits excluded).\n\
+# TYPE spanner_engine_run_seconds histogram\n\
+spanner_engine_run_seconds_bucket{le=\"0.0001\"} 1\n\
+spanner_engine_run_seconds_bucket{le=\"0.0005\"} 2\n\
+spanner_engine_run_seconds_bucket{le=\"0.001\"} 2\n\
+spanner_engine_run_seconds_bucket{le=\"0.005\"} 2\n\
+spanner_engine_run_seconds_bucket{le=\"0.01\"} 3\n\
+spanner_engine_run_seconds_bucket{le=\"0.05\"} 3\n\
+spanner_engine_run_seconds_bucket{le=\"0.1\"} 3\n\
+spanner_engine_run_seconds_bucket{le=\"0.5\"} 3\n\
+spanner_engine_run_seconds_bucket{le=\"+Inf\"} 4\n\
+spanner_engine_run_seconds_sum 0.907550\n\
+spanner_engine_run_seconds_count 4\n\
+# HELP spanner_engine_run_p50_seconds Median engine-run latency over the recent window.\n\
+# TYPE spanner_engine_run_p50_seconds gauge\n\
+spanner_engine_run_p50_seconds 0.000500\n\
+# HELP spanner_engine_run_p95_seconds 95th-percentile engine-run latency over the recent window.\n\
+# TYPE spanner_engine_run_p95_seconds gauge\n\
+spanner_engine_run_p95_seconds 0.900000\n\
+# HELP spanner_uptime_seconds Time since the service started.\n\
+# TYPE spanner_uptime_seconds gauge\n\
+spanner_uptime_seconds 1.500\n\
+";
+
+    const PINNED_JSON: &[&str] = &[
+        r#""jobs_submitted":22"#,
+        r#""jobs_completed":8"#,
+        r#""cache_hits":5"#,
+        r#""cache_misses":4"#,
+        r#""coalesced":6"#,
+        r#""jobs_shed":7"#,
+        r#""disk_hits":2"#,
+        r#""store_records":15"#,
+        r#""store_records_dropped":16"#,
+        r#""store_degraded":1"#,
+        r#""connections_timed_out":14"#,
+        r#""skipped":9"#,
+        r#""aborted":10"#,
+        r#""cancelled":11"#,
+        r#""timed_out":12"#,
+        r#""invalid":13"#,
+        r#""cache_hit_rate":0.555556"#,
+        r#""throughput_jobs_per_sec":5.333"#,
+        r#""p50_latency_us":500"#,
+        r#""p95_latency_us":900000"#,
+        r#""mean_latency_us":226887.5"#,
+        r#""latency_bucket_counts":[1,1,0,0,1,0,0,0,1]"#,
+        r#""latency_hist_sum_us":907550"#,
+        r#""latency_hist_count":4"#,
+        r#""queue_depth":25"#,
+        r#""in_flight":26"#,
+        r#""store_read_us":1800"#,
+        r#""store_write_us":2345678"#,
+        r#""store_recovery_us":19"#,
+        r#""graphs_live":24"#,
+        r#""graph_deltas_commuted":28"#,
+        r#""graph_deltas_repaired":29"#,
+        r#""graph_deltas_recomputed":30"#,
+        r#""engine_iterations":126"#,
+        r#""engine_local_rounds":882"#,
+        r#""uptime_secs":1.500"#,
+    ];
+
     /// The golden-format test: structure, ordering, escaping, and
     /// byte-determinism of the Prometheus exposition.
     #[test]
