@@ -756,26 +756,22 @@ impl GraphRegistry {
     }
 
     /// Appends one command to the delta log; an append failure demotes
-    /// the registry to memory-only (returns whether the record was
-    /// persisted, for the caller's degrade hook).
-    fn append(&self, cmd: &str) -> bool {
+    /// the registry to memory-only ([`GraphRegistry::log_healthy`]
+    /// turns false for good).
+    fn append(&self, cmd: &str) {
         let Some(log) = &self.log else {
-            return true;
+            return;
         };
         if !self.log_ok.load(Ordering::Relaxed) {
-            return false;
+            return;
         }
-        match log.lock().append(cmd.as_bytes()) {
-            Ok(_) => true,
-            Err(e) => {
-                self.log_ok.store(false, Ordering::Relaxed);
-                obs::error(
-                    "dsa-service",
-                    "graph log append failed; graph persistence disabled",
-                    &[("error", &e)],
-                );
-                false
-            }
+        if let Err(e) = log.lock().append(cmd.as_bytes()) {
+            self.log_ok.store(false, Ordering::Relaxed);
+            obs::error(
+                "dsa-service",
+                "graph log append failed; graph persistence disabled",
+                &[("error", &e)],
+            );
         }
     }
 
@@ -786,7 +782,7 @@ impl GraphRegistry {
         &self,
         spec: GraphSpec,
         solve: impl Fn(JobSpec) -> Result<JobResponse, JobError>,
-    ) -> Result<(GraphCreated, bool), GraphError> {
+    ) -> Result<GraphCreated, GraphError> {
         if !valid_graph_id(&spec.id) {
             return Err(GraphError::Invalid(format!(
                 "graph id `{}` must be 1-{MAX_GRAPH_ID_LEN} characters from [a-zA-Z0-9._-]",
@@ -798,18 +794,15 @@ impl GraphRegistry {
             ..spec
         };
         let cmd = wire::encode_graph_create(&spec);
-        let idempotent = |st: &GraphState| -> Result<(GraphCreated, bool), GraphError> {
+        let idempotent = |st: &GraphState| -> Result<GraphCreated, GraphError> {
             if st.create_cmd == cmd {
-                Ok((
-                    GraphCreated {
-                        id: spec.id.clone(),
-                        version: st.version,
-                        edges: st.edges.len(),
-                        spanner_size: st.cover.as_ref().map_or(0, EdgeSet::len),
-                        existed: true,
-                    },
-                    false,
-                ))
+                Ok(GraphCreated {
+                    id: spec.id.clone(),
+                    version: st.version,
+                    edges: st.edges.len(),
+                    spanner_size: st.cover.as_ref().map_or(0, EdgeSet::len),
+                    existed: true,
+                })
             } else {
                 Err(GraphError::Conflict(format!(
                     "graph `{}` already exists with a different definition",
@@ -833,33 +826,29 @@ impl GraphRegistry {
             // idempotency check against the winner.
             return idempotent(&entry.state.lock());
         }
-        let persisted = self.append(&cmd);
+        self.append(&cmd);
         map.insert(
             spec.id.clone(),
             Arc::new(GraphEntry {
                 state: OrderedMutex::new("graph_state", 20, state),
             }),
         );
-        Ok((
-            GraphCreated {
-                id: spec.id,
-                version: 0,
-                edges,
-                spanner_size,
-                existed: false,
-            },
-            !persisted,
-        ))
+        Ok(GraphCreated {
+            id: spec.id,
+            version: 0,
+            edges,
+            spanner_size,
+            existed: false,
+        })
     }
 
-    /// Applies one patch: validate, log, apply, classify. Returns the
-    /// patch result plus whether the log degraded on this call.
+    /// Applies one patch: validate, log, apply, classify.
     pub fn patch(
         &self,
         id: &str,
         ops: &[DeltaOp],
         solve: impl Fn(JobSpec) -> Result<JobResponse, JobError>,
-    ) -> Result<(GraphPatched, bool), GraphError> {
+    ) -> Result<GraphPatched, GraphError> {
         let entry = self.entry(id)?;
         let mut st = entry.state.lock();
         st.validate_ops(ops)?;
@@ -868,7 +857,7 @@ impl GraphRegistry {
         // recomputes this whole patch.
         let trusted_cover = st.cover.is_some() && st.debt <= REPAIR_DEBT_THRESHOLD;
         let cmd = wire::encode_graph_patch(id, ops);
-        let persisted = self.append(&cmd);
+        self.append(&cmd);
         let (new_ids, had_delete) = st.apply_ops(ops)?;
         let mut classes = DeltaClasses::default();
         if had_delete {
@@ -890,16 +879,13 @@ impl GraphRegistry {
                     return Err(GraphError::Job(e));
                 }
             }
-            return Ok((
-                GraphPatched {
-                    id: id.to_string(),
-                    version: st.version,
-                    applied: ops.len(),
-                    classes,
-                    edges: st.edges.len(),
-                },
-                !persisted,
-            ));
+            return Ok(GraphPatched {
+                id: id.to_string(),
+                version: st.version,
+                applied: ops.len(),
+                classes,
+                edges: st.edges.len(),
+            });
         } else {
             // Insert-only with a trusted cover: widen the cover to the
             // grown edge universe (ids are stable under insertion),
@@ -915,16 +901,13 @@ impl GraphRegistry {
             classes.repaired = repaired as u64;
         }
         st.classes.add(&classes);
-        Ok((
-            GraphPatched {
-                id: id.to_string(),
-                version: st.version,
-                applied: ops.len(),
-                classes,
-                edges: st.edges.len(),
-            },
-            !persisted,
-        ))
+        Ok(GraphPatched {
+            id: id.to_string(),
+            version: st.version,
+            applied: ops.len(),
+            classes,
+            edges: st.edges.len(),
+        })
     }
 
     /// Metadata/stats for one graph.
@@ -964,14 +947,14 @@ impl GraphRegistry {
         })
     }
 
-    /// Retires a graph. Returns whether the log degraded on this call.
-    pub fn delete(&self, id: &str) -> Result<bool, GraphError> {
+    /// Retires a graph.
+    pub fn delete(&self, id: &str) -> Result<(), GraphError> {
         let mut map = self.graphs.lock();
         if map.remove(id).is_none() {
             return Err(GraphError::NotFound(id.to_string()));
         }
-        let persisted = self.append(&wire::encode_graph_delete(id));
-        Ok(!persisted)
+        self.append(&wire::encode_graph_delete(id));
+        Ok(())
     }
 }
 
@@ -1052,11 +1035,11 @@ mod tests {
     fn create_is_idempotent_and_conflicts_on_redefinition() {
         let r = registry();
         let spec = undirected_spec("g", 4, &[(0, 1), (1, 2), (0, 2)]);
-        let (created, _) = r.create(spec.clone(), direct_solve).unwrap();
+        let created = r.create(spec.clone(), direct_solve).unwrap();
         assert!(!created.existed);
         assert_eq!(created.version, 0);
         assert_eq!(created.edges, 3);
-        let (again, _) = r.create(spec, direct_solve).unwrap();
+        let again = r.create(spec, direct_solve).unwrap();
         assert!(again.existed);
         let err = r
             .create(undirected_spec("g", 4, &[(0, 1)]), direct_solve)
@@ -1147,7 +1130,7 @@ mod tests {
         }
         // Insert-then-delete of the same edge inside one patch is
         // legal and nets out.
-        let (patched, _) = r
+        let patched = r
             .patch(
                 "g",
                 &[
@@ -1181,7 +1164,7 @@ mod tests {
             weight: None,
             role: None,
         };
-        let (p, _) = r
+        let p = r
             .patch("star", &[insert(1, 2), insert(3, 4)], direct_solve)
             .unwrap();
         assert_eq!(p.classes.commuted, 2, "chords commute: {:?}", p.classes);
@@ -1189,21 +1172,21 @@ mod tests {
         assert_eq!(p.classes.recomputed, 0);
         // Vertices 8 and 9 are isolated: (8, 9) has no 2-path and must
         // be repaired (the repair adds the edge itself to the cover).
-        let (p, _) = r.patch("star", &[insert(8, 9)], direct_solve).unwrap();
+        let p = r.patch("star", &[insert(8, 9)], direct_solve).unwrap();
         assert_eq!(p.classes.repaired, 1, "{:?}", p.classes);
         let meta = r.meta("star").unwrap();
         assert_eq!(meta.debt, 1);
         assert_eq!(meta.classes.commuted, 2);
         // A chord next to the repaired edge now commutes through it...
         // no 2-path exists, so instead verify a delete invalidates.
-        let (p, _) = r
+        let p = r
             .patch("star", &[DeltaOp::Delete { u: 8, v: 9 }], direct_solve)
             .unwrap();
         assert_eq!(p.classes.recomputed, 1);
         let meta = r.meta("star").unwrap();
         assert_eq!(meta.cover_size, None, "delete invalidates the cover");
         // The cover is absent, so the next insert patch recomputes.
-        let (p, _) = r.patch("star", &[insert(5, 6)], direct_solve).unwrap();
+        let p = r.patch("star", &[insert(5, 6)], direct_solve).unwrap();
         assert_eq!(p.classes.recomputed, 1);
         assert!(r.meta("star").unwrap().cover_size.is_some());
     }
@@ -1373,8 +1356,8 @@ mod tests {
         // here on) and half a frame stays on disk.
         {
             let (r, _) = open("seed=1;graphs.append.short=1.0");
-            let (patched, degraded) = r.patch("g", &[insert(3, 4)], direct_solve).unwrap();
-            assert!(degraded);
+            let patched = r.patch("g", &[insert(3, 4)], direct_solve).unwrap();
+            assert!(!r.log_healthy());
             assert_eq!(patched.version, 1);
             assert_from_scratch(&r, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         }
@@ -1385,8 +1368,8 @@ mod tests {
             assert_eq!((report.dropped, report.records), (1, 1));
             assert_eq!(r.meta("g").unwrap().version, 0);
             assert_from_scratch(&r, &edges);
-            let (_, degraded) = r.patch("g", &[insert(4, 5)], direct_solve).unwrap();
-            assert!(!degraded);
+            r.patch("g", &[insert(4, 5)], direct_solve).unwrap();
+            assert!(r.log_healthy());
             edges.push((4, 5));
         }
         {
@@ -1400,8 +1383,8 @@ mod tests {
         // restart drops and counts it.
         {
             let (r, _) = open("seed=1;graphs.append.corrupt=1.0");
-            let (patched, degraded) = r.patch("g", &[insert(0, 5)], direct_solve).unwrap();
-            assert!(!degraded, "silent rot is not an append failure");
+            let patched = r.patch("g", &[insert(0, 5)], direct_solve).unwrap();
+            assert!(r.log_healthy(), "silent rot is not an append failure");
             assert_eq!(patched.version, 2);
         }
         let (r, report) = open("seed=1");
@@ -1430,7 +1413,7 @@ mod tests {
         let (r, report) =
             GraphRegistry::open(Some(&dir), Arc::new(FaultInjector::new(plan))).unwrap();
         assert_eq!(report.graphs, 1);
-        let (patched, degraded) = r
+        let patched = r
             .patch(
                 "g",
                 &[DeltaOp::Insert {
@@ -1442,7 +1425,6 @@ mod tests {
                 direct_solve,
             )
             .unwrap();
-        assert!(degraded);
         assert_eq!(patched.version, 1);
         assert!(!r.log_healthy());
         // Restart sees only the create: the patch was never persisted.

@@ -2228,20 +2228,8 @@ mod tests {
         // The README embeds `status_table_markdown()` between markers;
         // regenerating from [`STATUS_TABLE`] keeps docs and server
         // answers from drifting.
-        let readme_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
-        let readme = std::fs::read_to_string(readme_path).expect("read README.md");
-        let begin = "<!-- status-table:begin -->\n";
-        let end = "<!-- status-table:end -->";
-        let start = readme
-            .find(begin)
-            .expect("README is missing <!-- status-table:begin -->")
-            + begin.len();
-        let stop = readme[start..]
-            .find(end)
-            .expect("README is missing <!-- status-table:end -->")
-            + start;
         assert_eq!(
-            readme[start..stop].trim_end_matches('\n'),
+            crate::readme_section("status-table"),
             status_table_markdown().trim_end_matches('\n'),
             "README status table is stale; paste the output of \
              dsa_service::http::status_table_markdown() between the markers"

@@ -76,3 +76,25 @@ pub use metrics::MetricsSnapshot;
 pub use retry::RetryPolicy;
 pub use server::Server;
 pub use service::{JobHandle, Service, ServiceConfig};
+
+/// The README text between `<!-- {name}:begin -->` and
+/// `<!-- {name}:end -->`: the generated sections that tests keep in
+/// sync with their source of truth.
+#[cfg(test)]
+pub(crate) fn readme_section(name: &str) -> String {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("read README.md");
+    let (begin, end) = (
+        format!("<!-- {name}:begin -->\n"),
+        format!("<!-- {name}:end -->"),
+    );
+    let start = readme
+        .find(&begin)
+        .unwrap_or_else(|| panic!("README is missing {begin}"))
+        + begin.len();
+    let stop = readme[start..]
+        .find(&end)
+        .unwrap_or_else(|| panic!("README is missing {end}"))
+        + start;
+    readme[start..stop].trim_end_matches('\n').to_string()
+}

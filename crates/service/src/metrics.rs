@@ -16,83 +16,32 @@
 //!   engine work was scheduled.
 //!
 //! So `submitted == cache_hits + cache_misses + coalesced + shed`
-//! always — and not just eventually: the submitted count and its class
-//! advance *together* under one lock, and [`ServiceMetrics::snapshot`]
-//! reads the five counters under the same lock, so the identity holds
-//! at every observation point (the `/v1/metrics` HTTP endpoint and the
-//! TCP `stats` command both serve such coherent snapshots). With
-//! coalescing and shedding idle the identity reads `jobs == hits +
-//! misses`. Latency percentile math reuses
-//! [`dsa_runtime::LatencyRecorder`] rather than duplicating it.
+//! always — and not just eventually: every counter lives in one
+//! [`MetricsSnapshot`] behind one lock, and [`ServiceMetrics::snapshot`]
+//! copies it whole, so the identity holds at every observation point
+//! (the `/v1/metrics` HTTP endpoint and the TCP `stats` command both
+//! serve such coherent snapshots). With coalescing and shedding idle
+//! the identity reads `jobs == hits + misses`. Latency percentile math
+//! reuses [`dsa_runtime::LatencyRecorder`] rather than duplicating it.
+//!
+//! Every metric is declared once, as a row of `REGISTRY`: the JSON
+//! body and the Prometheus exposition both walk that one table.
 
-use dsa_runtime::sync::OrderedMutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use dsa_runtime::sync::OrderedMutex;
 use dsa_runtime::LatencyRecorder;
-
-/// The classification counters, advanced and snapshotted as one unit
-/// so `submitted == cache_hits + cache_misses + coalesced + shed` can
-/// never be observed mid-update.
-#[derive(Clone, Copy, Debug, Default)]
-struct Classified {
-    submitted: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    coalesced: u64,
-    shed: u64,
-    /// Subset of `cache_hits` answered from the persistent store
-    /// (advanced under the same lock so `disk_hits <= cache_hits` is
-    /// also never observed mid-update).
-    disk_hits: u64,
-}
 
 /// Interior-mutable counters shared by the service, its workers, and
 /// the wire/HTTP frontends.
 #[derive(Debug)]
 pub(crate) struct ServiceMetrics {
     started: Instant,
-    classified: OrderedMutex<Classified>,
-    completed: AtomicU64,
-    skipped: AtomicU64,
-    aborted: AtomicU64,
-    cancelled: AtomicU64,
-    timed_out: AtomicU64,
-    invalid: AtomicU64,
-    engine_iterations: AtomicU64,
-    engine_local_rounds: AtomicU64,
-    /// Gauge: 1 once the persistent store has been demoted to
-    /// memory-only after an append failure (ENOSPC, injected fault);
-    /// the service keeps serving correct bytes, it just stops
-    /// persisting. Never resets within a process lifetime.
-    store_degraded: AtomicU64,
-    /// Connections closed because a request or frame read exceeded its
-    /// deadline (slow-loris defense).
-    connections_timed_out: AtomicU64,
-    /// Gauge: distinct results currently in the persistent store (0
-    /// when no store is configured). Set at open, advanced on append.
-    store_records: AtomicU64,
-    /// Records dropped by corruption recovery of the cache directory's
-    /// logs (`results.log` and `graphs.log`) when the service opened
-    /// (a counter per process lifetime; recovery happens once, at
-    /// open).
-    store_records_dropped: AtomicU64,
-    /// Cumulative store I/O wall time, in microseconds.
-    store_read_us: AtomicU64,
-    store_write_us: AtomicU64,
-    /// Wall time of the open-time recovery scan (log walk + warm
-    /// decode), set once at open.
-    store_recovery_us: AtomicU64,
-    /// Gauge: named graphs currently registered (set at open from the
-    /// replayed log, advanced on create/delete).
-    graphs_live: AtomicU64,
-    /// Graph PATCH ops by maintenance class: already covered (no
-    /// work), locally repaired, or queued for full recompute.
-    graph_deltas_commuted: AtomicU64,
-    graph_deltas_repaired: AtomicU64,
-    graph_deltas_recomputed: AtomicU64,
+    /// Every counter and histogram bucket, advanced and copied as one
+    /// unit. The derived rates and the gauges other owners sample stay
+    /// at their defaults here.
+    counters: OrderedMutex<MetricsSnapshot>,
     latency: OrderedMutex<LatencyRecorder>,
-    hist: OrderedMutex<Histogram>,
 }
 
 /// Upper bounds (µs) of the fixed engine-run latency buckets; the
@@ -101,98 +50,60 @@ pub(crate) struct ServiceMetrics {
 /// sliding p50/p95 window next to them.
 pub const LATENCY_BUCKETS_US: [u64; 8] = [100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000];
 
-/// Cumulative-friendly fixed-bucket latency histogram. Kept behind its
-/// own mutex: one bucket increment per executed run.
-#[derive(Clone, Copy, Debug, Default)]
-struct Histogram {
-    /// Per-bucket (non-cumulative) counts; the last slot is `+Inf`.
-    counts: [u64; LATENCY_BUCKETS_US.len() + 1],
-    sum_us: u64,
-    total: u64,
-}
-
-impl Histogram {
-    fn record_micros(&mut self, us: u64) {
-        let idx = LATENCY_BUCKETS_US
-            .iter()
-            .position(|&bound| us <= bound)
-            .unwrap_or(LATENCY_BUCKETS_US.len());
-        self.counts[idx] += 1;
-        self.sum_us += us;
-        self.total += 1;
-    }
-}
-
 /// Latency samples retained for percentile queries. Bounding the
 /// window keeps a serve-until-killed daemon's memory and per-snapshot
 /// cost independent of lifetime job count; 4096 recent engine runs is
 /// plenty for stable p50/p95.
 const LATENCY_WINDOW: usize = 4096;
 
+fn micros(elapsed: Duration) -> u64 {
+    elapsed.as_micros() as u64
+}
+
 impl ServiceMetrics {
     pub fn new() -> Self {
         ServiceMetrics {
             started: Instant::now(),
-            classified: OrderedMutex::new("metrics_classified", 90, Classified::default()),
-            completed: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            invalid: AtomicU64::new(0),
-            engine_iterations: AtomicU64::new(0),
-            engine_local_rounds: AtomicU64::new(0),
-            store_degraded: AtomicU64::new(0),
-            connections_timed_out: AtomicU64::new(0),
-            store_records: AtomicU64::new(0),
-            store_records_dropped: AtomicU64::new(0),
-            store_read_us: AtomicU64::new(0),
-            store_write_us: AtomicU64::new(0),
-            store_recovery_us: AtomicU64::new(0),
-            graphs_live: AtomicU64::new(0),
-            graph_deltas_commuted: AtomicU64::new(0),
-            graph_deltas_repaired: AtomicU64::new(0),
-            graph_deltas_recomputed: AtomicU64::new(0),
+            counters: OrderedMutex::new("metrics_classified", 90, MetricsSnapshot::default()),
             latency: OrderedMutex::new(
                 "metrics_latency",
                 92,
                 LatencyRecorder::bounded(LATENCY_WINDOW),
             ),
-            hist: OrderedMutex::new("metrics_hist", 94, Histogram::default()),
         }
     }
 
-    /// Classifying a submission counts it: `submitted` and the class
-    /// advance under one lock, so the `submitted == hits + misses +
-    /// coalesced + shed` identity holds at every instant a snapshot
-    /// can observe.
+    /// Classifying a submission counts it: `jobs_submitted` and the
+    /// class advance under one lock, so the `submitted == hits +
+    /// misses + coalesced + shed` identity holds at every instant a
+    /// snapshot can observe.
     pub fn on_cache_hit(&self) {
-        let mut c = self.classified.lock();
-        c.submitted += 1;
+        let mut c = self.counters.lock();
+        c.jobs_submitted += 1;
         c.cache_hits += 1;
     }
 
     pub fn on_cache_miss(&self) {
-        let mut c = self.classified.lock();
-        c.submitted += 1;
+        let mut c = self.counters.lock();
+        c.jobs_submitted += 1;
         c.cache_misses += 1;
     }
 
     /// A disk hit is a cache hit (no engine run) that was answered
-    /// from the persistent store: `submitted`, `cache_hits`, and
+    /// from the persistent store: `jobs_submitted`, `cache_hits`, and
     /// `disk_hits` advance as one unit, so the classification
     /// invariant extends coherently (`disk_hits` is a subset counter,
-    /// not a fourth class).
+    /// not a fifth class).
     pub fn on_disk_hit(&self) {
-        let mut c = self.classified.lock();
-        c.submitted += 1;
+        let mut c = self.counters.lock();
+        c.jobs_submitted += 1;
         c.cache_hits += 1;
         c.disk_hits += 1;
     }
 
     pub fn on_coalesced(&self) {
-        let mut c = self.classified.lock();
-        c.submitted += 1;
+        let mut c = self.counters.lock();
+        c.jobs_submitted += 1;
         c.coalesced += 1;
     }
 
@@ -201,21 +112,15 @@ impl ServiceMetrics {
     /// class `shed`, so the classification identity extends to
     /// `submitted == hits + misses + coalesced + shed`.
     pub fn on_shed(&self) {
-        let mut c = self.classified.lock();
-        c.submitted += 1;
+        let mut c = self.counters.lock();
+        c.jobs_submitted += 1;
         c.shed += 1;
-    }
-
-    /// Marks the persistent store demoted to memory-only caching (an
-    /// append failed; results are still correct, just not persisted).
-    pub fn set_store_degraded(&self) {
-        self.store_degraded.store(1, Ordering::Relaxed);
     }
 
     /// A connection was closed because a request/frame read exceeded
     /// its deadline (slow-loris defense).
     pub fn on_connection_timed_out(&self) {
-        self.connections_timed_out.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().connections_timed_out += 1;
     }
 
     /// The current 95th-percentile engine-run latency in microseconds
@@ -228,7 +133,7 @@ impl ServiceMetrics {
     /// Updates the persistent-store size gauge (records currently
     /// servable from disk).
     pub fn set_store_records(&self, records: u64) {
-        self.store_records.store(records, Ordering::Relaxed);
+        self.counters.lock().store_records = records;
     }
 
     /// Records how many corrupt records open-time recovery of the
@@ -236,150 +141,109 @@ impl ServiceMetrics {
     /// data loss shows up on dashboards, not only in a startup log
     /// line.
     pub fn set_store_dropped(&self, dropped: u64) {
-        self.store_records_dropped.store(dropped, Ordering::Relaxed);
+        self.counters.lock().store_records_dropped = dropped;
     }
 
     /// Wall time of the store open (log recovery walk + warm decode).
     pub fn set_store_recovery(&self, elapsed: Duration) {
-        self.store_recovery_us
-            .store(elapsed.as_micros() as u64, Ordering::Relaxed);
+        self.counters.lock().store_recovery_us = micros(elapsed);
     }
 
     /// Adds one store read (verified disk-hit lookup) to the
     /// cumulative read-time counter.
     pub fn on_store_read(&self, elapsed: Duration) {
-        self.store_read_us
-            .fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
+        self.counters.lock().store_read_us += micros(elapsed);
     }
 
     /// Adds one store append to the cumulative write-time counter.
     pub fn on_store_write(&self, elapsed: Duration) {
-        self.store_write_us
-            .fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Updates the live named-graph gauge (registered graphs that have
-    /// not been deleted).
-    pub fn set_graphs_live(&self, n: u64) {
-        self.graphs_live.store(n, Ordering::Relaxed);
+        self.counters.lock().store_write_us += micros(elapsed);
     }
 
     /// Adds one PATCH's worth of delta classifications: ops that
     /// commuted with the maintained cover, ops repaired locally, and
     /// ops that forced a full-recompute path.
     pub fn on_graph_deltas(&self, commuted: u64, repaired: u64, recomputed: u64) {
-        self.graph_deltas_commuted
-            .fetch_add(commuted, Ordering::Relaxed);
-        self.graph_deltas_repaired
-            .fetch_add(repaired, Ordering::Relaxed);
-        self.graph_deltas_recomputed
-            .fetch_add(recomputed, Ordering::Relaxed);
+        let mut c = self.counters.lock();
+        c.graph_deltas_commuted += commuted;
+        c.graph_deltas_repaired += repaired;
+        c.graph_deltas_recomputed += recomputed;
     }
 
     /// A response actually reached a waiting caller — the only place
     /// `jobs_completed` advances, so waiters that cancel or time out
     /// are never counted as answered.
     pub fn on_delivered(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().jobs_completed += 1;
     }
 
     pub fn on_invalid(&self) {
-        self.invalid.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().invalid += 1;
     }
 
     pub fn on_cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().cancelled += 1;
     }
 
     pub fn on_timed_out(&self) {
-        self.timed_out.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().timed_out += 1;
     }
 
     pub fn on_skipped(&self) {
-        self.skipped.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().skipped += 1;
     }
 
     /// An engine run that had already started was abandoned mid-flight
     /// via the in-engine cancellation flag (every waiter cancelled).
     pub fn on_aborted(&self) {
-        self.aborted.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().aborted += 1;
     }
 
     pub fn on_executed(&self, iterations: u64, local_rounds: u64, latency: Duration) {
-        self.engine_iterations
-            .fetch_add(iterations, Ordering::Relaxed);
-        self.engine_local_rounds
-            .fetch_add(local_rounds, Ordering::Relaxed);
-        let us = latency.as_micros() as u64;
+        let us = micros(latency);
+        let bucket = LATENCY_BUCKETS_US
+            .iter()
+            .position(|&bound| us <= bound)
+            .unwrap_or(LATENCY_BUCKETS_US.len());
+        {
+            let mut c = self.counters.lock();
+            c.engine_iterations += iterations;
+            c.engine_local_rounds += local_rounds;
+            c.latency_bucket_counts[bucket] += 1;
+            c.latency_hist_sum_us += us;
+            c.latency_hist_count += 1;
+        }
         self.latency.lock().record_micros(us);
-        self.hist.lock().record_micros(us);
     }
 
-    /// A point-in-time view. The classification counters are copied
-    /// under their shared lock, so `jobs_submitted == cache_hits +
-    /// cache_misses + coalesced + shed` holds in *every* snapshot,
-    /// including ones taken while submissions race; the remaining
-    /// counters are advisory (read individually).
+    /// A point-in-time view. Every counter is copied under their one
+    /// shared lock, so `jobs_submitted == cache_hits + cache_misses +
+    /// coalesced + shed` (and `disk_hits <= cache_hits`, and the
+    /// histogram buckets summing to its count) holds in *every*
+    /// snapshot, including ones taken while updates race. The gauges
+    /// the service owns (`queue_depth`, `in_flight`, `graphs_live`,
+    /// `store_degraded`) stay 0 for [`crate::Service::metrics`] to
+    /// sample.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let latency = self.latency.lock().clone();
-        let hist = *self.hist.lock();
-        let c = *self.classified.lock();
-        let completed = self.completed.load(Ordering::Relaxed);
-        let uptime = self.started.elapsed();
-        let classified = c.cache_hits + c.cache_misses;
-        MetricsSnapshot {
-            jobs_submitted: c.submitted,
-            jobs_completed: completed,
-            cache_hits: c.cache_hits,
-            cache_misses: c.cache_misses,
-            coalesced: c.coalesced,
-            shed: c.shed,
-            disk_hits: c.disk_hits,
-            store_records: self.store_records.load(Ordering::Relaxed),
-            store_degraded: self.store_degraded.load(Ordering::Relaxed),
-            connections_timed_out: self.connections_timed_out.load(Ordering::Relaxed),
-            store_records_dropped: self.store_records_dropped.load(Ordering::Relaxed),
-            store_read_us: self.store_read_us.load(Ordering::Relaxed),
-            store_write_us: self.store_write_us.load(Ordering::Relaxed),
-            store_recovery_us: self.store_recovery_us.load(Ordering::Relaxed),
-            graphs_live: self.graphs_live.load(Ordering::Relaxed),
-            graph_deltas_commuted: self.graph_deltas_commuted.load(Ordering::Relaxed),
-            graph_deltas_repaired: self.graph_deltas_repaired.load(Ordering::Relaxed),
-            graph_deltas_recomputed: self.graph_deltas_recomputed.load(Ordering::Relaxed),
-            // Gauges sampled by the owner of the queue/inflight state:
-            // `Service::metrics` fills them in after this snapshot.
-            queue_depth: 0,
-            in_flight: 0,
-            latency_bucket_counts: hist.counts,
-            latency_hist_sum_us: hist.sum_us,
-            latency_hist_count: hist.total,
-            skipped: self.skipped.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            invalid: self.invalid.load(Ordering::Relaxed),
-            cache_hit_rate: if classified == 0 {
-                0.0
-            } else {
-                c.cache_hits as f64 / classified as f64
-            },
-            throughput_jobs_per_sec: if uptime.as_secs_f64() > 0.0 {
-                completed as f64 / uptime.as_secs_f64()
-            } else {
-                0.0
-            },
-            p50_latency_us: latency.p50().unwrap_or(0),
-            p95_latency_us: latency.p95().unwrap_or(0),
-            mean_latency_us: latency.mean_micros(),
-            engine_iterations: self.engine_iterations.load(Ordering::Relaxed),
-            engine_local_rounds: self.engine_local_rounds.load(Ordering::Relaxed),
-            uptime,
+        let mut s = self.counters.lock().clone();
+        s.uptime = self.started.elapsed();
+        let classified = s.cache_hits + s.cache_misses;
+        if classified > 0 {
+            s.cache_hit_rate = s.cache_hits as f64 / classified as f64;
         }
+        if s.uptime.as_secs_f64() > 0.0 {
+            s.throughput_jobs_per_sec = s.jobs_completed as f64 / s.uptime.as_secs_f64();
+        }
+        s.p50_latency_us = latency.p50().unwrap_or(0);
+        s.p95_latency_us = latency.p95().unwrap_or(0);
+        s.mean_latency_us = latency.mean_micros();
+        s
     }
 }
 
 /// A point-in-time copy of the service counters, plus derived rates.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Jobs submitted (accepted specs; invalid ones don't count).
     pub jobs_submitted: u64,
@@ -409,8 +273,9 @@ pub struct MetricsSnapshot {
     /// Non-zero means the log was damaged and silently healed — the
     /// dashboards should see that, not just the startup stderr.
     pub store_records_dropped: u64,
-    /// 1 once the persistent store was demoted to memory-only caching
-    /// after an append failure; 0 while healthy (or with no store).
+    /// 1 once the persistent store or the graph delta log was demoted
+    /// to memory-only after an append failure; 0 while healthy (or
+    /// with no store). A gauge sampled at snapshot time.
     pub store_degraded: u64,
     /// Connections closed because a request/frame read exceeded its
     /// deadline (slow-loris defense).
@@ -422,8 +287,9 @@ pub struct MetricsSnapshot {
     /// Wall time of the open-time recovery scan (log walk + warm
     /// decode), µs.
     pub store_recovery_us: u64,
-    /// Named graphs currently registered (a gauge; created minus
-    /// deleted, seeded from the replayed graph log at open).
+    /// Named graphs currently registered (created minus deleted,
+    /// including those replayed from the graph log at open). A gauge
+    /// sampled at snapshot time.
     pub graphs_live: u64,
     /// Graph PATCH ops whose edges were already covered by the
     /// maintained spanner — classified with zero engine work.
@@ -483,69 +349,221 @@ pub struct MetricsSnapshot {
     pub uptime: Duration,
 }
 
+/// How a series reads its value off a snapshot and formats it.
+#[derive(Clone, Copy)]
+enum Value {
+    /// An integer, rendered the same in both formats.
+    Count(fn(&MetricsSnapshot) -> u64),
+    /// A µs total: an integer in JSON, seconds in Prometheus.
+    Micros(fn(&MetricsSnapshot) -> u64),
+    /// A float at a fixed number of decimals in both formats.
+    Float(fn(&MetricsSnapshot) -> f64, usize),
+    /// The engine-run histogram buckets: the per-bucket counts as a
+    /// JSON array, cumulative `le` buckets ending in `+Inf` in
+    /// Prometheus.
+    Buckets,
+}
+
+use Value::{Buckets, Count, Float, Micros};
+
+/// One JSON key and the Prometheus sample line(s) carrying its value.
+struct Series {
+    /// `None` for a Prometheus-only series.
+    json: Option<&'static str>,
+    /// What follows the metric name on the sample line: a histogram
+    /// suffix and/or a label set.
+    labels: &'static str,
+    value: Value,
+}
+
+/// One metric family: its Prometheus name (after the `spanner_`
+/// prefix; `None` for a JSON-only row), type and help, plus its series.
+struct Family {
+    name: Option<&'static str>,
+    kind: &'static str,
+    help: &'static str,
+    series: &'static [Series],
+}
+
+const fn counter(name: &'static str, help: &'static str, series: &'static [Series]) -> Family {
+    Family {
+        name: Some(name),
+        kind: "counter",
+        help,
+        series,
+    }
+}
+
+const fn gauge(name: &'static str, help: &'static str, series: &'static [Series]) -> Family {
+    Family {
+        name: Some(name),
+        kind: "gauge",
+        help,
+        series,
+    }
+}
+
+/// A row rendered only into the JSON body.
+const fn json_only(help: &'static str, series: &'static [Series]) -> Family {
+    Family {
+        name: None,
+        kind: "gauge",
+        help,
+        series,
+    }
+}
+
+/// A series with a JSON key; `labels` as in [`Series::labels`].
+const fn keyed(json: &'static str, labels: &'static str, value: Value) -> Series {
+    Series {
+        json: Some(json),
+        labels,
+        value,
+    }
+}
+
+/// An unlabeled series with a JSON key.
+const fn plain(json: &'static str, value: Value) -> Series {
+    keyed(json, "", value)
+}
+
+/// `spanner_build_info`'s label set. Both values are compile-time
+/// constants, and Cargo's semver grammar admits no `\`, `"` or
+/// newline, so neither needs escaping.
+const BUILD_INFO_LABELS: &str = concat!(
+    "{crate=\"dsa-service\",version=\"",
+    env!("CARGO_PKG_VERSION"),
+    "\"}"
+);
+
+/// Every served metric, in exposition order; JSON keys follow the same
+/// order. A new signal is one row.
+#[rustfmt::skip]
+const REGISTRY: &[Family] = &[
+    gauge("build_info", "Constant 1, labeled with the serving crate and version.",
+        &[Series { json: None, labels: BUILD_INFO_LABELS, value: Count(|_| 1) }]),
+    counter("jobs_total", "Jobs accepted by the service (invalid specs excluded).",
+        &[plain("jobs_submitted", Count(|s| s.jobs_submitted))]),
+    counter("jobs_by_class_total",
+        "Accepted jobs by cache classification; the classes sum to spanner_jobs_total.", &[
+        keyed("cache_hits", "{class=\"cache_hit\"}", Count(|s| s.cache_hits)),
+        keyed("cache_misses", "{class=\"cache_miss\"}", Count(|s| s.cache_misses)),
+        keyed("coalesced", "{class=\"coalesced\"}", Count(|s| s.coalesced)),
+        keyed("jobs_shed", "{class=\"shed\"}", Count(|s| s.shed)),
+    ]),
+    counter("disk_hits_total",
+        "Cache hits served from the persistent store (subset of class cache_hit).",
+        &[plain("disk_hits", Count(|s| s.disk_hits))]),
+    counter("jobs_completed_total", "Responses delivered to waiting callers.",
+        &[plain("jobs_completed", Count(|s| s.jobs_completed))]),
+    json_only("Delivered responses per second of uptime.",
+        &[plain("throughput_jobs_per_sec", Float(|s| s.throughput_jobs_per_sec, 3))]),
+    counter("jobs_skipped_total", "Scheduled runs skipped because every waiter left first.",
+        &[plain("skipped", Count(|s| s.skipped))]),
+    counter("jobs_aborted_total",
+        "Started engine runs abandoned mid-flight after every waiter cancelled.",
+        &[plain("aborted", Count(|s| s.aborted))]),
+    counter("jobs_cancelled_total", "Handle cancellations.",
+        &[plain("cancelled", Count(|s| s.cancelled))]),
+    counter("jobs_timed_out_total", "Waits that hit their deadline.",
+        &[plain("timed_out", Count(|s| s.timed_out))]),
+    counter("jobs_invalid_total", "Specs rejected by validation.",
+        &[plain("invalid", Count(|s| s.invalid))]),
+    gauge("cache_hit_ratio", "cache_hits / (cache_hits + cache_misses).",
+        &[plain("cache_hit_rate", Float(|s| s.cache_hit_rate, 6))]),
+    gauge("queue_depth", "Jobs waiting in the worker-pool queue.",
+        &[plain("queue_depth", Count(|s| s.queue_depth))]),
+    gauge("inflight_jobs", "Jobs executing or awaiting pickup in the in-flight table.",
+        &[plain("in_flight", Count(|s| s.in_flight))]),
+    counter("connections_timed_out_total",
+        "Connections closed because a request read exceeded its deadline.",
+        &[plain("connections_timed_out", Count(|s| s.connections_timed_out))]),
+    gauge("store_records", "Distinct results currently servable from the persistent store.",
+        &[plain("store_records", Count(|s| s.store_records))]),
+    counter("store_records_dropped_total",
+        "Corrupt records dropped by the cache directory's open-time recovery.",
+        &[plain("store_records_dropped", Count(|s| s.store_records_dropped))]),
+    gauge("store_degraded",
+        "Set once the store is demoted to memory-only caching after an append failure.",
+        &[plain("store_degraded", Count(|s| s.store_degraded))]),
+    counter("store_read_seconds_total", "Cumulative wall time reading results from the store.",
+        &[plain("store_read_us", Micros(|s| s.store_read_us))]),
+    counter("store_write_seconds_total", "Cumulative wall time appending results to the store.",
+        &[plain("store_write_us", Micros(|s| s.store_write_us))]),
+    counter("store_recovery_seconds_total", "Wall time of the store's open-time recovery scan.",
+        &[plain("store_recovery_us", Micros(|s| s.store_recovery_us))]),
+    gauge("graphs_live", "Named graphs currently registered (created minus deleted).",
+        &[plain("graphs_live", Count(|s| s.graphs_live))]),
+    counter("graph_deltas_by_class_total",
+        "Graph PATCH ops by maintenance class (commuted, repaired, recomputed).", &[
+        keyed("graph_deltas_commuted", "{class=\"commuted\"}", Count(|s| s.graph_deltas_commuted)),
+        keyed("graph_deltas_repaired", "{class=\"repaired\"}", Count(|s| s.graph_deltas_repaired)),
+        keyed("graph_deltas_recomputed", "{class=\"recomputed\"}",
+            Count(|s| s.graph_deltas_recomputed)),
+    ]),
+    counter("engine_iterations_total", "Engine iterations across executed runs.",
+        &[plain("engine_iterations", Count(|s| s.engine_iterations))]),
+    counter("engine_local_rounds_total", "LOCAL rounds across executed runs.",
+        &[plain("engine_local_rounds", Count(|s| s.engine_local_rounds))]),
+    Family { name: Some("engine_run_seconds"), kind: "histogram",
+        help: "Engine-run latency over fixed buckets (cache hits excluded).", series: &[
+        keyed("latency_bucket_counts", "_bucket", Buckets),
+        keyed("latency_hist_sum_us", "_sum", Micros(|s| s.latency_hist_sum_us)),
+        keyed("latency_hist_count", "_count", Count(|s| s.latency_hist_count)),
+    ]},
+    gauge("engine_run_p50_seconds", "Median engine-run latency over the recent window.",
+        &[plain("p50_latency_us", Micros(|s| s.p50_latency_us))]),
+    gauge("engine_run_p95_seconds", "95th-percentile engine-run latency over the recent window.",
+        &[plain("p95_latency_us", Micros(|s| s.p95_latency_us))]),
+    json_only("Mean engine-run latency over the recent window, µs.",
+        &[plain("mean_latency_us", Float(|s| s.mean_latency_us, 1))]),
+    gauge("uptime_seconds", "Time since the service started.",
+        &[plain("uptime_secs", Float(|s| s.uptime.as_secs_f64(), 3))]),
+];
+
+impl Value {
+    fn json(self, s: &MetricsSnapshot) -> String {
+        match self {
+            Count(f) | Micros(f) => f(s).to_string(),
+            Float(f, decimals) => format!("{:.*}", decimals, f(s)),
+            Buckets => format!(
+                "[{}]",
+                s.latency_bucket_counts.map(|c| c.to_string()).join(",")
+            ),
+        }
+    }
+
+    /// The sample line(s) of `metric` (its name plus labels).
+    fn prometheus(self, s: &MetricsSnapshot, metric: &str) -> String {
+        match self {
+            Count(f) => format!("{metric} {}\n", f(s)),
+            Micros(f) => format!("{metric} {:.6}\n", f(s) as f64 / 1e6),
+            Float(f, decimals) => format!("{metric} {:.*}\n", decimals, f(s)),
+            Buckets => {
+                let bounds = LATENCY_BUCKETS_US.map(|us| (us as f64 / 1e6).to_string());
+                let mut cumulative = 0;
+                bounds
+                    .into_iter()
+                    .chain(["+Inf".to_string()])
+                    .zip(s.latency_bucket_counts)
+                    .map(|(le, count)| {
+                        cumulative += count;
+                        format!("{metric}{{le=\"{le}\"}} {cumulative}\n")
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
 impl MetricsSnapshot {
     /// One-line JSON rendering (keys stable, no external dependency).
     pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .latency_bucket_counts
-            .iter()
-            .map(|c| c.to_string())
+        let keyed = REGISTRY.iter().flat_map(|family| family.series);
+        let pairs: Vec<String> = keyed
+            .filter_map(|series| Some(format!("\"{}\":{}", series.json?, series.value.json(self))))
             .collect();
-        format!(
-            concat!(
-                "{{\"jobs_submitted\":{},\"jobs_completed\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},\"coalesced\":{},\"jobs_shed\":{},",
-                "\"disk_hits\":{},\"store_records\":{},\"store_records_dropped\":{},",
-                "\"store_degraded\":{},\"connections_timed_out\":{},",
-                "\"skipped\":{},\"aborted\":{},\"cancelled\":{},\"timed_out\":{},\"invalid\":{},",
-                "\"cache_hit_rate\":{:.6},\"throughput_jobs_per_sec\":{:.3},",
-                "\"p50_latency_us\":{},\"p95_latency_us\":{},\"mean_latency_us\":{:.1},",
-                "\"latency_bucket_counts\":[{}],\"latency_hist_sum_us\":{},",
-                "\"latency_hist_count\":{},",
-                "\"queue_depth\":{},\"in_flight\":{},",
-                "\"store_read_us\":{},\"store_write_us\":{},\"store_recovery_us\":{},",
-                "\"graphs_live\":{},\"graph_deltas_commuted\":{},",
-                "\"graph_deltas_repaired\":{},\"graph_deltas_recomputed\":{},",
-                "\"engine_iterations\":{},\"engine_local_rounds\":{},",
-                "\"uptime_secs\":{:.3}}}"
-            ),
-            self.jobs_submitted,
-            self.jobs_completed,
-            self.cache_hits,
-            self.cache_misses,
-            self.coalesced,
-            self.shed,
-            self.disk_hits,
-            self.store_records,
-            self.store_records_dropped,
-            self.store_degraded,
-            self.connections_timed_out,
-            self.skipped,
-            self.aborted,
-            self.cancelled,
-            self.timed_out,
-            self.invalid,
-            self.cache_hit_rate,
-            self.throughput_jobs_per_sec,
-            self.p50_latency_us,
-            self.p95_latency_us,
-            self.mean_latency_us,
-            buckets.join(","),
-            self.latency_hist_sum_us,
-            self.latency_hist_count,
-            self.queue_depth,
-            self.in_flight,
-            self.store_read_us,
-            self.store_write_us,
-            self.store_recovery_us,
-            self.graphs_live,
-            self.graph_deltas_commuted,
-            self.graph_deltas_repaired,
-            self.graph_deltas_recomputed,
-            self.engine_iterations,
-            self.engine_local_rounds,
-            self.uptime.as_secs_f64(),
-        )
+        format!("{{{}}}", pairs.join(","))
     }
 
     /// Prometheus text exposition (format version 0.0.4).
@@ -556,266 +574,18 @@ impl MetricsSnapshot {
     /// (scrapers and the golden test both rely on that).
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-        let mut metric = |name: &str, kind: &str, help: &str, samples: &[(String, String)]| {
-            out.push_str("# HELP spanner_");
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(help);
-            out.push_str("\n# TYPE spanner_");
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(kind);
-            out.push('\n');
-            for (labels, value) in samples {
-                out.push_str("spanner_");
-                out.push_str(name);
-                out.push_str(labels);
-                out.push(' ');
-                out.push_str(value);
-                out.push('\n');
+        for family in REGISTRY {
+            let Some(name) = family.name else { continue };
+            out += &format!("# HELP spanner_{name} {}\n", family.help);
+            out += &format!("# TYPE spanner_{name} {}\n", family.kind);
+            for series in family.series {
+                out += &series
+                    .value
+                    .prometheus(self, &format!("spanner_{name}{}", series.labels));
             }
-        };
-        let plain = |v: u64| vec![(String::new(), v.to_string())];
-        let secs6 = |us: u64| format!("{:.6}", us as f64 / 1e6);
-
-        metric(
-            "build_info",
-            "gauge",
-            "Constant 1, labeled with the serving crate and version.",
-            &[(
-                format!(
-                    "{{crate=\"{}\",version=\"{}\"}}",
-                    escape_label_value("dsa-service"),
-                    escape_label_value(env!("CARGO_PKG_VERSION")),
-                ),
-                "1".to_string(),
-            )],
-        );
-        metric(
-            "jobs_total",
-            "counter",
-            "Jobs accepted by the service (invalid specs excluded).",
-            &plain(self.jobs_submitted),
-        );
-        metric(
-            "jobs_by_class_total",
-            "counter",
-            "Accepted jobs by cache classification; the classes sum to spanner_jobs_total.",
-            &[
-                (
-                    "{class=\"cache_hit\"}".to_string(),
-                    self.cache_hits.to_string(),
-                ),
-                (
-                    "{class=\"cache_miss\"}".to_string(),
-                    self.cache_misses.to_string(),
-                ),
-                (
-                    "{class=\"coalesced\"}".to_string(),
-                    self.coalesced.to_string(),
-                ),
-                ("{class=\"shed\"}".to_string(), self.shed.to_string()),
-            ],
-        );
-        metric(
-            "disk_hits_total",
-            "counter",
-            "Cache hits served from the persistent store (subset of class cache_hit).",
-            &plain(self.disk_hits),
-        );
-        metric(
-            "jobs_completed_total",
-            "counter",
-            "Responses delivered to waiting callers.",
-            &plain(self.jobs_completed),
-        );
-        metric(
-            "jobs_skipped_total",
-            "counter",
-            "Scheduled runs skipped because every waiter left first.",
-            &plain(self.skipped),
-        );
-        metric(
-            "jobs_aborted_total",
-            "counter",
-            "Started engine runs abandoned mid-flight after every waiter cancelled.",
-            &plain(self.aborted),
-        );
-        metric(
-            "jobs_cancelled_total",
-            "counter",
-            "Handle cancellations.",
-            &plain(self.cancelled),
-        );
-        metric(
-            "jobs_timed_out_total",
-            "counter",
-            "Waits that hit their deadline.",
-            &plain(self.timed_out),
-        );
-        metric(
-            "jobs_invalid_total",
-            "counter",
-            "Specs rejected by validation.",
-            &plain(self.invalid),
-        );
-        metric(
-            "cache_hit_ratio",
-            "gauge",
-            "cache_hits / (cache_hits + cache_misses).",
-            &[(String::new(), format!("{:.6}", self.cache_hit_rate))],
-        );
-        metric(
-            "queue_depth",
-            "gauge",
-            "Jobs waiting in the worker-pool queue.",
-            &plain(self.queue_depth),
-        );
-        metric(
-            "inflight_jobs",
-            "gauge",
-            "Jobs executing or awaiting pickup in the in-flight table.",
-            &plain(self.in_flight),
-        );
-        metric(
-            "connections_timed_out_total",
-            "counter",
-            "Connections closed because a request read exceeded its deadline.",
-            &plain(self.connections_timed_out),
-        );
-        metric(
-            "store_records",
-            "gauge",
-            "Distinct results currently servable from the persistent store.",
-            &plain(self.store_records),
-        );
-        metric(
-            "store_records_dropped_total",
-            "counter",
-            "Corrupt records dropped by the cache directory's open-time recovery.",
-            &plain(self.store_records_dropped),
-        );
-        metric(
-            "store_degraded",
-            "gauge",
-            "Set once the store is demoted to memory-only caching after an append failure.",
-            &plain(self.store_degraded),
-        );
-        metric(
-            "store_read_seconds_total",
-            "counter",
-            "Cumulative wall time reading results from the store.",
-            &[(String::new(), secs6(self.store_read_us))],
-        );
-        metric(
-            "store_write_seconds_total",
-            "counter",
-            "Cumulative wall time appending results to the store.",
-            &[(String::new(), secs6(self.store_write_us))],
-        );
-        metric(
-            "store_recovery_seconds_total",
-            "counter",
-            "Wall time of the store's open-time recovery scan.",
-            &[(String::new(), secs6(self.store_recovery_us))],
-        );
-        metric(
-            "graphs_live",
-            "gauge",
-            "Named graphs currently registered (created minus deleted).",
-            &plain(self.graphs_live),
-        );
-        metric(
-            "graph_deltas_by_class_total",
-            "counter",
-            "Graph PATCH ops by maintenance class (commuted, repaired, recomputed).",
-            &[
-                (
-                    "{class=\"commuted\"}".to_string(),
-                    self.graph_deltas_commuted.to_string(),
-                ),
-                (
-                    "{class=\"repaired\"}".to_string(),
-                    self.graph_deltas_repaired.to_string(),
-                ),
-                (
-                    "{class=\"recomputed\"}".to_string(),
-                    self.graph_deltas_recomputed.to_string(),
-                ),
-            ],
-        );
-        metric(
-            "engine_iterations_total",
-            "counter",
-            "Engine iterations across executed runs.",
-            &plain(self.engine_iterations),
-        );
-        metric(
-            "engine_local_rounds_total",
-            "counter",
-            "LOCAL rounds across executed runs.",
-            &plain(self.engine_local_rounds),
-        );
-
-        // Histogram: cumulative buckets over the fixed bounds, then
-        // +Inf, _sum, and _count — the standard exposition shape.
-        let mut hist_samples: Vec<(String, String)> = Vec::new();
-        let mut cumulative = 0u64;
-        for (i, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-            cumulative += self.latency_bucket_counts[i];
-            hist_samples.push((
-                format!("_bucket{{le=\"{}\"}}", bound as f64 / 1e6),
-                cumulative.to_string(),
-            ));
         }
-        hist_samples.push((
-            "_bucket{le=\"+Inf\"}".to_string(),
-            self.latency_hist_count.to_string(),
-        ));
-        hist_samples.push(("_sum".to_string(), secs6(self.latency_hist_sum_us)));
-        hist_samples.push(("_count".to_string(), self.latency_hist_count.to_string()));
-        metric(
-            "engine_run_seconds",
-            "histogram",
-            "Engine-run latency over fixed buckets (cache hits excluded).",
-            &hist_samples,
-        );
-
-        metric(
-            "engine_run_p50_seconds",
-            "gauge",
-            "Median engine-run latency over the recent window.",
-            &[(String::new(), secs6(self.p50_latency_us))],
-        );
-        metric(
-            "engine_run_p95_seconds",
-            "gauge",
-            "95th-percentile engine-run latency over the recent window.",
-            &[(String::new(), secs6(self.p95_latency_us))],
-        );
-        metric(
-            "uptime_seconds",
-            "gauge",
-            "Time since the service started.",
-            &[(String::new(), format!("{:.3}", self.uptime.as_secs_f64()))],
-        );
         out
     }
-}
-
-/// Escapes a Prometheus label value: backslash, double quote, and
-/// newline must be backslash-escaped per the text exposition format.
-pub(crate) fn escape_label_value(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -903,14 +673,6 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"cache_hit_rate\":0.000000"));
         assert!(json.contains("\"jobs_submitted\":0"));
-    }
-
-    #[test]
-    fn label_values_escape_per_exposition_format() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(escape_label_value("a\\b"), "a\\\\b");
-        assert_eq!(escape_label_value("say \"hi\""), "say \\\"hi\\\"");
-        assert_eq!(escape_label_value("two\nlines"), "two\\nlines");
     }
 
     #[test]
@@ -1156,6 +918,50 @@ spanner_uptime_seconds 1.500\n\
         r#""uptime_secs":1.500"#,
     ];
 
+    /// The README's metric inventory: one row per registry family.
+    fn metrics_table_markdown() -> String {
+        let mut out = String::from("| Metric | Type | JSON keys | Meaning |\n|---|---|---|---|\n");
+        for family in REGISTRY {
+            let (metric, kind) = match family.name {
+                Some(name) => {
+                    // `{class="shed"}` -> `{class}`; suffixes such as
+                    // `_bucket` carry no label names.
+                    let names = family.series[0].labels.strip_prefix('{').map(|l| {
+                        let names: Vec<&str> =
+                            l.split(',').filter_map(|kv| kv.split('=').next()).collect();
+                        names.join(",")
+                    });
+                    let labels = names.map_or(String::new(), |n| format!("{{{n}}}"));
+                    (format!("`spanner_{name}{labels}`"), family.kind)
+                }
+                None => ("— (JSON only)".to_string(), "—"),
+            };
+            let keys: Vec<String> = family
+                .series
+                .iter()
+                .filter_map(|s| s.json)
+                .map(|key| format!("`{key}`"))
+                .collect();
+            let keys = if keys.is_empty() {
+                "—".to_string()
+            } else {
+                keys.join(", ")
+            };
+            out += &format!("| {metric} | {kind} | {keys} | {} |\n", family.help);
+        }
+        out
+    }
+
+    #[test]
+    fn readme_metrics_table_matches_the_registry() {
+        assert_eq!(
+            crate::readme_section("metrics-table"),
+            metrics_table_markdown().trim_end_matches('\n'),
+            "README metric inventory is stale; paste the right-hand side \
+             (metrics_table_markdown() in metrics.rs) between the markers"
+        );
+    }
+
     /// The golden-format test: structure, ordering, escaping, and
     /// byte-determinism of the Prometheus exposition.
     #[test]
@@ -1170,11 +976,12 @@ spanner_uptime_seconds 1.500\n\
         m.on_connection_timed_out();
         m.set_store_records(1);
         m.set_store_dropped(2);
-        m.set_store_degraded();
-        m.set_graphs_live(3);
         m.on_graph_deltas(5, 2, 1);
         m.on_graph_deltas(1, 0, 0);
         let mut snap = m.snapshot();
+        // Gauges the service samples at snapshot time.
+        snap.store_degraded = 1;
+        snap.graphs_live = 3;
         // Pin the wall-clock-dependent fields so repeated renderings
         // must agree byte-for-byte.
         snap.uptime = Duration::from_millis(1_500);

@@ -319,7 +319,6 @@ impl Service {
         }
         // Records dropped by cache-directory recovery, from both logs.
         metrics.set_store_dropped(store_dropped + replay.dropped);
-        metrics.set_graphs_live(replay.graphs as u64);
         Ok(Service {
             shared: Arc::new(Shared {
                 cache: OrderedMutex::new("cache", 40, cache),
@@ -344,14 +343,8 @@ impl Service {
     /// `graph-create v2` surface.
     pub fn graph_create(&self, spec: GraphSpec) -> Result<GraphCreated, GraphError> {
         let id = spec.id.clone();
-        let (created, degraded) = self.graphs.create(spec, |s| self.run(&s))?;
-        if degraded {
-            self.shared.metrics.set_store_degraded();
-        }
+        let created = self.graphs.create(spec, |s| self.run(&s))?;
         if !created.existed {
-            self.shared
-                .metrics
-                .set_graphs_live(self.graphs.live() as u64);
             self.shared.flight.event(
                 obs::next_trace_id(),
                 "graph.created",
@@ -369,10 +362,7 @@ impl Service {
     /// commuted / repaired / recomputed. The `PATCH /v1/graphs/{id}`
     /// and `graph-patch v2` surface.
     pub fn graph_patch(&self, id: &str, ops: &[DeltaOp]) -> Result<GraphPatched, GraphError> {
-        let (patched, degraded) = self.graphs.patch(id, ops, |s| self.run(&s))?;
-        if degraded {
-            self.shared.metrics.set_store_degraded();
-        }
+        let patched = self.graphs.patch(id, ops, |s| self.run(&s))?;
         self.shared.metrics.on_graph_deltas(
             patched.classes.commuted,
             patched.classes.repaired,
@@ -413,13 +403,7 @@ impl Service {
     /// Retires a named graph. The `DELETE /v1/graphs/{id}` and
     /// `graph-delete v2` surface.
     pub fn graph_delete(&self, id: &str) -> Result<(), GraphError> {
-        let degraded = self.graphs.delete(id)?;
-        if degraded {
-            self.shared.metrics.set_store_degraded();
-        }
-        self.shared
-            .metrics
-            .set_graphs_live(self.graphs.live() as u64);
+        self.graphs.delete(id)?;
         self.shared.flight.event(
             obs::next_trace_id(),
             "graph.deleted",
@@ -431,13 +415,6 @@ impl Service {
     /// Number of live named graphs.
     pub fn graphs_live(&self) -> usize {
         self.graphs.live()
-    }
-
-    /// Whether the graph delta log is still persisting creates and
-    /// patches (false after an append failure demoted the registry to
-    /// memory-only serving; trivially true without a cache directory).
-    pub fn graphs_log_healthy(&self) -> bool {
-        self.graphs.log_healthy()
     }
 
     /// Submits a job and returns a handle to its (possibly shared)
@@ -694,7 +671,6 @@ impl Service {
                             // a file in an unknown state.
                             drop(store);
                             shared.store_ok.store(false, Ordering::SeqCst);
-                            shared.metrics.set_store_degraded();
                             let err = e.to_string();
                             obs::error(
                                 "dsa-service",
@@ -752,12 +728,16 @@ impl Service {
         self.submit(spec)?.wait()
     }
 
-    /// A point-in-time view of the service counters, with the queue
-    /// and in-flight gauges sampled at the same moment.
+    /// A point-in-time view of the service counters, with the gauges
+    /// whose owners hold the value (queue depth, in-flight jobs, live
+    /// graphs, store health) sampled at the same moment.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snapshot = self.shared.metrics.snapshot();
         snapshot.queue_depth = self.pool.queued() as u64;
         snapshot.in_flight = self.shared.inflight.lock().len() as u64;
+        snapshot.graphs_live = self.graphs.live() as u64;
+        let store_ok = self.shared.store_ok.load(Ordering::SeqCst);
+        snapshot.store_degraded = u64::from(!store_ok || !self.graphs.log_healthy());
         snapshot
     }
 
@@ -770,11 +750,6 @@ impl Service {
     /// Entries currently in the result cache.
     pub fn cache_len(&self) -> usize {
         self.shared.cache.lock().len()
-    }
-
-    /// Jobs waiting in the pool queue (diagnostic only).
-    pub fn queued_jobs(&self) -> usize {
-        self.pool.queued()
     }
 
     /// The service's fault injector (never fires unless
@@ -1074,7 +1049,7 @@ mod tests {
         let handle = service.submit(&slow).unwrap();
         // The queue drains the moment the worker dequeues the job;
         // give it a beat more so the engine loop is actually running.
-        while service.queued_jobs() > 0 {
+        while service.metrics().queue_depth > 0 {
             std::thread::yield_now();
         }
         std::thread::sleep(Duration::from_millis(60));
@@ -1196,7 +1171,7 @@ mod tests {
         });
         let slow = undirected_spec(500, 0.08, 8, 1);
         let handle = service.submit(&slow).unwrap();
-        while service.queued_jobs() > 0 {
+        while service.metrics().queue_depth > 0 {
             std::thread::yield_now();
         }
         std::thread::sleep(Duration::from_millis(60));

@@ -5,7 +5,8 @@
 //! variants), a 1000-delta insert stream whose incremental upkeep must
 //! beat from-scratch solves, a warm restart that re-serves every
 //! graph's spanner byte-identically from the store, crash-mid-PATCH
-//! recovery of the graph delta log, and the v1-vs-v2 protocol
+//! recovery of the graph delta log, the live-graph gauge under
+//! concurrent create/delete churn, and the v1-vs-v2 protocol
 //! regression (old clients keep working against a v2 server).
 
 use std::net::TcpStream;
@@ -593,6 +594,60 @@ fn delta_stream_commutes_and_every_graph_survives_a_warm_restart() {
     server.shutdown();
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: `spanner_graphs_live` was once pushed after the registry
+/// lock was released, so two racing creates could store their counts
+/// out of order and leave the gauge stale. Sampled at snapshot time, it
+/// matches the registry after any interleaving. Each phase starts all
+/// eight threads together on one create or delete apiece, and the
+/// gauge is checked while they wait for the next phase.
+#[test]
+fn graphs_live_gauge_matches_the_registry_after_concurrent_churn() {
+    const THREADS: usize = 8;
+    const PHASES: usize = 40;
+    let service = Service::new(&ServiceConfig::default());
+    let instance = VariantInstance::Undirected {
+        graph: gen::complete(4),
+    };
+    let barrier = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (service, instance, barrier) = (&service, &instance, &barrier);
+            scope.spawn(move || {
+                for phase in 0..PHASES {
+                    barrier.wait();
+                    if phase % 2 == 0 {
+                        service
+                            .graph_create(GraphSpec {
+                                id: format!("churn-{t}-{phase}"),
+                                instance: instance.clone(),
+                                config: EngineConfig::seeded(1),
+                            })
+                            .expect("create");
+                    } else if t % 2 == 1 {
+                        // Odd threads delete what they just created.
+                        let id = format!("churn-{t}-{}", phase - 1);
+                        service.graph_delete(&id).expect("delete");
+                    }
+                    barrier.wait();
+                    if t == 0 {
+                        let live = service.graphs_live() as u64;
+                        assert_eq!(service.metrics().graphs_live, live, "phase {phase}");
+                    }
+                }
+            });
+        }
+    });
+    let live = service.graphs_live();
+    assert_eq!(live, THREADS / 2 * PHASES / 2);
+    let m = service.metrics();
+    assert_eq!(m.graphs_live, live as u64);
+    let line = format!("spanner_graphs_live {live}");
+    assert!(
+        m.to_prometheus().lines().any(|l| l == line),
+        "exposition lacks `{line}`"
+    );
 }
 
 #[test]
