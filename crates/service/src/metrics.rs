@@ -403,11 +403,11 @@ const fn gauge(name: &'static str, help: &'static str, series: &'static [Series]
     }
 }
 
-/// A row rendered only into the JSON body.
+/// A row rendered only into the JSON body (it has no Prometheus type).
 const fn json_only(help: &'static str, series: &'static [Series]) -> Family {
     Family {
         name: None,
-        kind: "gauge",
+        kind: "",
         help,
         series,
     }
