@@ -597,48 +597,66 @@ fn delta_stream_commutes_and_every_graph_survives_a_warm_restart() {
 }
 
 /// Regression: `spanner_graphs_live` was once pushed after the registry
-/// lock was released, so two racing creates could store their counts
-/// out of order and leave the gauge stale. Sampled at snapshot time, it
-/// matches the registry after any interleaving. Each phase starts all
-/// eight threads together on one create or delete apiece, and the
-/// gauge is checked while they wait for the next phase.
+/// lock was released, so two racing creates or deletes could store
+/// their counts out of order and leave the gauge stale. Sampled at
+/// snapshot time, it matches the registry after any interleaving. Each
+/// phase starts all eight threads together on one create or delete
+/// apiece; thread 0 records any stale gauge while the others wait for
+/// the next phase (recorded, not asserted, so a stale gauge cannot
+/// strand them at the barrier).
 #[test]
 fn graphs_live_gauge_matches_the_registry_after_concurrent_churn() {
     const THREADS: usize = 8;
-    const PHASES: usize = 40;
+    const PHASES: usize = 1000;
     let service = Service::new(&ServiceConfig::default());
     let instance = VariantInstance::Undirected {
         graph: gen::complete(4),
     };
     let barrier = std::sync::Barrier::new(THREADS);
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let (service, instance, barrier) = (&service, &instance, &barrier);
-            scope.spawn(move || {
-                for phase in 0..PHASES {
-                    barrier.wait();
-                    if phase % 2 == 0 {
-                        service
-                            .graph_create(GraphSpec {
-                                id: format!("churn-{t}-{phase}"),
-                                instance: instance.clone(),
-                                config: EngineConfig::seeded(1),
-                            })
-                            .expect("create");
-                    } else if t % 2 == 1 {
-                        // Odd threads delete what they just created.
-                        let id = format!("churn-{t}-{}", phase - 1);
-                        service.graph_delete(&id).expect("delete");
+    let stale = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (service, instance, barrier) = (&service, &instance, &barrier);
+                scope.spawn(move || {
+                    let mut stale = Vec::new();
+                    for phase in 0..PHASES {
+                        barrier.wait();
+                        if phase % 2 == 0 {
+                            service
+                                .graph_create(GraphSpec {
+                                    id: format!("churn-{t}-{phase}"),
+                                    instance: instance.clone(),
+                                    config: EngineConfig::seeded(1),
+                                })
+                                .expect("create");
+                        } else if t % 2 == 1 {
+                            // Odd threads delete what they just created.
+                            let id = format!("churn-{t}-{}", phase - 1);
+                            service.graph_delete(&id).expect("delete");
+                        }
+                        barrier.wait();
+                        if t == 0 {
+                            let (gauge, live) =
+                                (service.metrics().graphs_live, service.graphs_live());
+                            if gauge != live as u64 {
+                                stale.push((phase, gauge, live));
+                            }
+                        }
                     }
-                    barrier.wait();
-                    if t == 0 {
-                        let live = service.graphs_live() as u64;
-                        assert_eq!(service.metrics().graphs_live, live, "phase {phase}");
-                    }
-                }
-            });
-        }
+                    stale
+                })
+            })
+            .collect();
+        let stale: Vec<Vec<_>> = handles
+            .into_iter()
+            .map(|h| h.join().expect("churn thread"))
+            .collect();
+        stale.concat()
     });
+    assert!(
+        stale.is_empty(),
+        "(phase, gauge, live) went stale: {stale:?}"
+    );
     let live = service.graphs_live();
     assert_eq!(live, THREADS / 2 * PHASES / 2);
     let m = service.metrics();
