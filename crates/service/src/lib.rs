@@ -55,6 +55,8 @@ pub mod client;
 pub mod graphs;
 pub mod http;
 mod job;
+#[cfg(test)]
+mod message_pins;
 mod metrics;
 mod net;
 mod pool;
