@@ -22,9 +22,10 @@ use super::{
 };
 
 /// The shape of a minimum 2-spanner problem variant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum VariantKind {
     /// Theorem 1.3: undirected, unweighted.
+    #[default]
     Undirected,
     /// Theorem 4.9: directed.
     Directed,

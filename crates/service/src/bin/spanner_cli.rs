@@ -60,8 +60,6 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use dsa_core::dist::{VariantInstance, VariantKind};
-use dsa_graphs::io as gio;
-use dsa_graphs::EdgeSet;
 use dsa_service::{
     Client, DeltaOp, GraphCreated, GraphMeta, GraphPatched, GraphSpannerResult, GraphSpec,
     HttpClient, JobError, JobResponse, JobSpec, RetryPolicy,
@@ -521,60 +519,11 @@ fn read_input(path: &str) -> String {
     }
 }
 
-fn parse_ids(text: &str, universe: usize, what: &str) -> EdgeSet {
-    // Same validator the server runs, so CLI and wire never drift.
-    dsa_service::wire::parse_id_list(text, universe, what).unwrap_or_else(|e| fail(&e.to_string()))
-}
-
 fn build_instance(variant: VariantKind, text: &str, args: &RunArgs) -> VariantInstance {
-    match variant {
-        VariantKind::Undirected => {
-            let (graph, w) =
-                gio::parse_edge_list(text).unwrap_or_else(|e| fail(&format!("bad input: {e}")));
-            if w.is_some() {
-                fail("undirected variant takes an unweighted edge list");
-            }
-            VariantInstance::Undirected { graph }
-        }
-        VariantKind::Weighted => {
-            let (graph, w) =
-                gio::parse_edge_list(text).unwrap_or_else(|e| fail(&format!("bad input: {e}")));
-            let weights = w.unwrap_or_else(|| fail("weighted variant needs `u v w` edge lines"));
-            VariantInstance::Weighted { graph, weights }
-        }
-        VariantKind::Directed => {
-            let graph = gio::parse_directed_edge_list(text)
-                .unwrap_or_else(|e| fail(&format!("bad input: {e}")));
-            VariantInstance::Directed { graph }
-        }
-        VariantKind::ClientServer => {
-            let (graph, w) =
-                gio::parse_edge_list(text).unwrap_or_else(|e| fail(&format!("bad input: {e}")));
-            if w.is_some() {
-                fail("client-server variant takes an unweighted edge list");
-            }
-            let m = graph.num_edges();
-            let clients = parse_ids(
-                args.clients
-                    .as_deref()
-                    .unwrap_or_else(|| fail("--clients is required for client-server")),
-                m,
-                "client",
-            );
-            let servers = parse_ids(
-                args.servers
-                    .as_deref()
-                    .unwrap_or_else(|| fail("--servers is required for client-server")),
-                m,
-                "server",
-            );
-            VariantInstance::ClientServer {
-                graph,
-                clients,
-                servers,
-            }
-        }
-    }
+    // The server's own graph decoder, so CLI and wire never drift.
+    let (clients, servers) = (args.clients.as_deref(), args.servers.as_deref());
+    dsa_service::wire::parse_instance(variant, text, clients, servers)
+        .unwrap_or_else(|e| fail(&format!("bad input: {e}")))
 }
 
 fn endpoints_of(instance: &VariantInstance) -> Vec<(usize, usize)> {

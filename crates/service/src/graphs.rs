@@ -186,7 +186,7 @@ impl DeltaClasses {
 }
 
 /// Result of a create.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GraphCreated {
     /// The graph id.
     pub id: String,
@@ -204,7 +204,7 @@ pub struct GraphCreated {
 }
 
 /// Result of a patch.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GraphPatched {
     /// The graph id.
     pub id: String,
@@ -219,7 +219,7 @@ pub struct GraphPatched {
 }
 
 /// Graph metadata/stats.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GraphMeta {
     /// The graph id.
     pub id: String,
@@ -245,7 +245,7 @@ pub struct GraphMeta {
 
 /// The maintained spanner: the solve of the current live edge set,
 /// with edges reported as endpoint pairs (live edge ids are internal).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GraphSpannerResult {
     /// The graph id.
     pub id: String,

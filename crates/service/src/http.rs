@@ -21,14 +21,19 @@
 //! | `GET /v1/metrics`              | —                 | coherent counters + p50/p95  |
 //! | `GET /healthz`                 | —                 | `{"status":"ok"}`            |
 //!
-//! The graph routes are the resource-oriented face of
-//! [`crate::graphs`]: a `PUT` body is a job spec without `timeout_ms`
-//! (and single-shard), a `PATCH` body is
-//! `{"insert": [[u, v], [u, v, w], [u, v, "server"]], "delete": [[u, v]]}`
-//! (inserts apply before deletes, each list in order), and
-//! `GET .../spanner` returns the maintained spanner as `[u, v]`
+//! Every request and response body is declared once in the message
+//! schema, next to the TCP frame carrying the same message; the
+//! README's "Message reference" lists both renderings. The graph routes
+//! are the resource-oriented face of [`crate::graphs`]: the id travels
+//! in the path, a `PATCH` body applies its inserts before its deletes,
+//! and `GET .../spanner` returns the maintained spanner as `[u, v]`
 //! endpoint pairs — byte-deterministic for a given create + delta
-//! history, equal to a from-scratch solve of the live edge set.
+//! history, equal to a from-scratch solve of the live edge set. A JSON
+//! job and a text job over the same edge set map to the same canonical
+//! job and share one cache entry, and a result carries no serving
+//! incidentals, so repeated submissions of one spec return
+//! **byte-identical** bodies whether computed cold, coalesced, or
+//! served from cache.
 //!
 //! `GET /v1/metrics` additionally accepts `?format=prometheus`, which
 //! returns the same snapshot in the Prometheus text exposition format
@@ -36,56 +41,6 @@
 //! label order — see [`crate::metrics::MetricsSnapshot::to_prometheus`].
 //! `?format=json` (and no query at all) select the JSON body; any
 //! other `format` value is a 400.
-//!
-//! # Job spec schema (`POST /v1/jobs`)
-//!
-//! ```json
-//! {
-//!   "variant": "weighted",
-//!   "seed": 42,
-//!   "graph": {"n": 4, "edges": [[0, 1, 3], [1, 2, 5], [2, 3, 1]]},
-//!   "clients": [0, 2],          // client-server only: edge ids
-//!   "servers": [1],             // client-server only: edge ids
-//!   "accept_denominator": 8,    // optional, default 8
-//!   "monotone": true,           // optional, default true
-//!   "round_densities": true,    // optional, default true
-//!   "max_iterations": 1000000,  // optional
-//!   "shards": 4,                // optional, default 1; 0 = one per core;
-//!                               // capped at 65536 at decode time
-//!   "timeout_ms": 2000          // optional
-//! }
-//! ```
-//!
-//! Edges are `[u, v]` pairs (`[u, v, w]` with a weight for the
-//! `weighted` variant); the graph is normalized exactly as the wire
-//! protocol's text edge lists are (self-loops dropped, duplicate edges
-//! keep their first occurrence — the same [`dsa_graphs::io`] builder
-//! runs under both), so a JSON submission and a wire submission of the
-//! same edge set map to the same canonical job and share one cache
-//! entry. Unknown keys are rejected, mirroring the wire decoder's
-//! unknown-header errors.
-//!
-//! # Job result schema
-//!
-//! ```json
-//! {
-//!   "key": "1f2e3d4c5b6a7988",
-//!   "variant": "weighted",
-//!   "converged": true,
-//!   "iterations": 12,
-//!   "local_rounds": 84,
-//!   "star_fallbacks": 0,
-//!   "spanner_size": 3,
-//!   "spanner": [0, 4, 7]
-//! }
-//! ```
-//!
-//! The `key` is the canonical 64-bit job/cache key in hex (a string,
-//! so 53-bit JSON consumers keep it exact); `spanner` lists edge ids
-//! in the *submitted* graph's id space, ascending. A result carries no
-//! serving incidentals (no timing, no cached/coalesced flag), so
-//! repeated submissions of one spec return **byte-identical** bodies
-//! whether computed cold, coalesced, or served from cache.
 //!
 //! # Status codes
 //!
@@ -113,21 +68,15 @@
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
-
-use dsa_core::dist::{EngineConfig, VariantInstance, VariantKind};
-use dsa_graphs::{io as gio, EdgeSet, Graph};
-use dsa_runtime::json::Json;
 
 use crate::graphs::{
-    DeltaOp, EdgeRole, GraphCreated, GraphError, GraphMeta, GraphPatched, GraphSpannerResult,
-    GraphSpec,
+    DeltaOp, GraphCreated, GraphError, GraphMeta, GraphPatched, GraphSpannerResult, GraphSpec,
 };
 use crate::job::{JobError, JobResponse, JobSpec};
 use crate::net::{ListenerHandle, ShutdownReader, IDLE_POLL};
-use crate::retry::RetryPolicy;
+use crate::retry::{Attempt, RetryPolicy};
+use crate::schema;
 use crate::service::{Service, ServiceConfig};
-use crate::wire::{narrow_usize, MIN_VERTEX_ALLOWANCE};
 
 /// Upper bound on a request body (matches [`crate::wire::MAX_FRAME`]):
 /// a million-edge graph as JSON fits, while a hostile `Content-Length`
@@ -744,11 +693,7 @@ fn query_param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
 /// Encodes one error body: `error` (prose, first for pre-`code`
 /// consumers that pattern-match the prefix) then `code` (stable slug).
 fn error_body(code: &str, message: &str) -> String {
-    Json::Obj(vec![
-        ("error".to_string(), Json::Str(message.to_string())),
-        ("code".to_string(), Json::Str(code.to_string())),
-    ])
-    .encode()
+    schema::ERR.json(&(message.to_string(), code.to_string()))
 }
 
 fn status_reason(status: u16) -> &'static str {
@@ -805,90 +750,12 @@ fn write_response(
 }
 
 // ---------------------------------------------------------------------
-// JSON codecs
+// JSON bodies
 // ---------------------------------------------------------------------
 
-fn proto(message: impl Into<String>) -> JobError {
-    JobError::Protocol(message.into())
-}
-
-/// Encodes a job spec as the `POST /v1/jobs` body documented in the
-/// module docs. Deterministic: key order is fixed, defaults that the
-/// wire encoder omits (`shards 1`, absent timeout) are omitted here
-/// too.
+/// Encodes a job spec as the `POST /v1/jobs` body.
 pub fn encode_job_spec(spec: &JobSpec) -> String {
-    let edge_rows = |g: &Graph| -> Json {
-        Json::Arr(
-            g.edges()
-                .map(|(_, u, v)| Json::Arr(vec![Json::U64(u as u64), Json::U64(v as u64)]))
-                .collect(),
-        )
-    };
-    let id_list = |s: &EdgeSet| Json::Arr(s.iter().map(|e| Json::U64(e as u64)).collect());
-    let mut pairs: Vec<(String, Json)> = vec![(
-        "variant".to_string(),
-        Json::Str(spec.instance.kind().to_string()),
-    )];
-    let mut push = |k: &str, v: Json| pairs.push((k.to_string(), v));
-    push("seed", Json::U64(spec.config.seed));
-    let (n, edges) = match &spec.instance {
-        VariantInstance::Undirected { graph } => (graph.num_vertices(), edge_rows(graph)),
-        VariantInstance::Directed { graph } => (
-            graph.num_vertices(),
-            Json::Arr(
-                graph
-                    .edges()
-                    .map(|(_, u, v)| Json::Arr(vec![Json::U64(u as u64), Json::U64(v as u64)]))
-                    .collect(),
-            ),
-        ),
-        VariantInstance::Weighted { graph, weights } => (
-            graph.num_vertices(),
-            Json::Arr(
-                graph
-                    .edges()
-                    .map(|(e, u, v)| {
-                        Json::Arr(vec![
-                            Json::U64(u as u64),
-                            Json::U64(v as u64),
-                            Json::U64(weights.get(e)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        VariantInstance::ClientServer { graph, .. } => (graph.num_vertices(), edge_rows(graph)),
-    };
-    push(
-        "graph",
-        Json::Obj(vec![
-            ("n".to_string(), Json::U64(n as u64)),
-            ("edges".to_string(), edges),
-        ]),
-    );
-    if let VariantInstance::ClientServer {
-        clients, servers, ..
-    } = &spec.instance
-    {
-        push("clients", id_list(clients));
-        push("servers", id_list(servers));
-    }
-    push(
-        "accept_denominator",
-        Json::U64(spec.config.accept_denominator),
-    );
-    push("monotone", Json::Bool(spec.config.monotone_stars));
-    push("round_densities", Json::Bool(spec.config.round_densities));
-    push("max_iterations", Json::U64(spec.config.max_iterations));
-    if spec.config.num_shards != 1 {
-        push("shards", Json::U64(spec.config.num_shards as u64));
-    }
-    if let Some(t) = spec.timeout {
-        // Saturating, not wrapping: a pathological Duration must not
-        // come back as a short deadline (see the wire encoder).
-        push("timeout_ms", Json::U64(crate::wire::saturating_millis(t)));
-    }
-    Json::Obj(pairs).encode()
+    schema::RUN.json(spec)
 }
 
 /// Decodes a `POST /v1/jobs` body into a job spec. Errors are
@@ -896,632 +763,87 @@ pub fn encode_job_spec(spec: &JobSpec) -> String {
 /// (e.g. a zero accept denominator) stays with the service and maps
 /// to 422.
 pub fn decode_job_spec(body: &[u8]) -> Result<JobSpec, JobError> {
-    let text = std::str::from_utf8(body).map_err(|_| proto("body is not UTF-8"))?;
-    let v = Json::parse(text).map_err(|e| proto(format!("bad JSON: {e}")))?;
-    let pairs = v
-        .as_obj()
-        .ok_or_else(|| proto("job spec must be a JSON object"))?;
-    for (key, _) in pairs {
-        match key.as_str() {
-            "variant" | "seed" | "graph" | "clients" | "servers" | "accept_denominator"
-            | "monotone" | "round_densities" | "max_iterations" | "shards" | "timeout_ms" => {}
-            other => return Err(proto(format!("unknown key `{other}`"))),
-        }
-    }
-    let variant: VariantKind = v
-        .get("variant")
-        .and_then(Json::as_str)
-        .ok_or_else(|| proto("missing `variant` (string)"))?
-        .parse()
-        .map_err(JobError::Protocol)?;
-    let seed = v
-        .get("seed")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| proto("missing `seed` (non-negative integer)"))?;
-
-    let graph = v.get("graph").ok_or_else(|| proto("missing `graph`"))?;
-    let graph_pairs = graph
-        .as_obj()
-        .ok_or_else(|| proto("`graph` must be an object"))?;
-    for (key, _) in graph_pairs {
-        if key != "n" && key != "edges" {
-            return Err(proto(format!("unknown key `graph.{key}`")));
-        }
-    }
-    let n = graph
-        .get("n")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| proto("missing `graph.n` (non-negative integer)"))?;
-    // Same request-size bound as the wire protocol's `# n` check: the
-    // body caps *bytes*, but `Graph::new(n)` allocates per declared
-    // vertex, so a ~60-byte body must not demand gigabytes.
-    let limit = (2 * body.len() as u64 + 1024).max(MIN_VERTEX_ALLOWANCE);
-    if n > limit {
-        return Err(proto(format!(
-            "declared vertex count {n} exceeds the request-size bound {limit}"
-        )));
-    }
-    let n = narrow_usize(n, "vertex count")?;
-    let edges = graph
-        .get("edges")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| proto("missing `graph.edges` (array of arrays)"))?;
-    let mut rows: Vec<Vec<u64>> = Vec::with_capacity(edges.len());
-    for (i, edge) in edges.iter().enumerate() {
-        let fields = edge
-            .as_arr()
-            .ok_or_else(|| proto(format!("edge {i} must be an array")))?;
-        let row = fields
-            .iter()
-            .map(Json::as_u64)
-            .collect::<Option<Vec<u64>>>()
-            .ok_or_else(|| proto(format!("edge {i}: fields must be non-negative integers")))?;
-        rows.push(row);
-    }
-    let bad_graph = |e: gio::ParseGraphError| proto(format!("bad graph: {e}"));
-
-    let id_set = |key: &str, universe: usize| -> Result<EdgeSet, JobError> {
-        let ids = v
-            .get(key)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| proto(format!("missing `{key}` (array of edge ids)")))?;
-        let mut set = EdgeSet::new(universe);
-        for id in ids {
-            let id = id
-                .as_u64()
-                .and_then(|x| usize::try_from(x).ok())
-                .ok_or_else(|| proto(format!("`{key}` ids must be non-negative integers")))?;
-            if id >= universe {
-                return Err(proto(format!(
-                    "{key} id {id} out of range for {universe} edges"
-                )));
-            }
-            set.insert(id);
-        }
-        Ok(set)
-    };
-
-    if !matches!(variant, VariantKind::ClientServer)
-        && (v.get("clients").is_some() || v.get("servers").is_some())
-    {
-        return Err(proto(
-            "`clients`/`servers` only apply to the client-server variant",
-        ));
-    }
-
-    let instance = match variant {
-        VariantKind::Undirected => {
-            let (graph, w) = gio::edge_rows_to_graph(n, &rows).map_err(bad_graph)?;
-            if w.is_some() {
-                return Err(proto("undirected variant takes [u, v] edges"));
-            }
-            VariantInstance::Undirected { graph }
-        }
-        VariantKind::Weighted => {
-            let (graph, w) = gio::edge_rows_to_graph(n, &rows).map_err(bad_graph)?;
-            let weights = w.ok_or_else(|| proto("weighted variant needs [u, v, w] edges"))?;
-            VariantInstance::Weighted { graph, weights }
-        }
-        VariantKind::Directed => {
-            let graph = gio::edge_rows_to_digraph(n, &rows).map_err(bad_graph)?;
-            VariantInstance::Directed { graph }
-        }
-        VariantKind::ClientServer => {
-            let (graph, w) = gio::edge_rows_to_graph(n, &rows).map_err(bad_graph)?;
-            if w.is_some() {
-                return Err(proto("client-server variant takes [u, v] edges"));
-            }
-            let m = graph.num_edges();
-            let clients = id_set("clients", m)?;
-            let servers = id_set("servers", m)?;
-            VariantInstance::ClientServer {
-                graph,
-                clients,
-                servers,
-            }
-        }
-    };
-
-    let mut config = EngineConfig::seeded(seed);
-    let opt_u64 = |key: &str| -> Result<Option<u64>, JobError> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(x) => x
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| proto(format!("`{key}` must be a non-negative integer"))),
-        }
-    };
-    let opt_bool = |key: &str| -> Result<Option<bool>, JobError> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(x) => x
-                .as_bool()
-                .map(Some)
-                .ok_or_else(|| proto(format!("`{key}` must be a boolean"))),
-        }
-    };
-    if let Some(d) = opt_u64("accept_denominator")? {
-        config.accept_denominator = d;
-    }
-    if let Some(m) = opt_bool("monotone")? {
-        config.monotone_stars = m;
-    }
-    if let Some(r) = opt_bool("round_densities")? {
-        config.round_densities = r;
-    }
-    if let Some(m) = opt_u64("max_iterations")? {
-        config.max_iterations = m;
-    }
-    if let Some(s) = opt_u64("shards")? {
-        // Capped exactly like the wire decoder: a hostile
-        // `"shards": 2^63` must not truncate on 32-bit targets.
-        config.num_shards = crate::wire::decode_shards(s);
-    }
-    let timeout = opt_u64("timeout_ms")?.map(Duration::from_millis);
-
-    Ok(JobSpec {
-        instance,
-        config,
-        timeout,
-    })
+    schema::RUN.decode_json(body).map(|d| d.spec)
 }
 
-/// Encodes a job result as the `POST /v1/jobs` 200 body. Pure function
-/// of the response, so a cache hit is byte-identical to the cold
-/// computation.
+/// Encodes a job result as the `POST /v1/jobs` 200 body.
 pub fn encode_job_response(resp: &JobResponse) -> String {
-    Json::Obj(vec![
-        ("key".to_string(), Json::Str(format!("{:016x}", resp.key))),
-        ("variant".to_string(), Json::Str(resp.kind.to_string())),
-        ("converged".to_string(), Json::Bool(resp.converged)),
-        ("iterations".to_string(), Json::U64(resp.iterations)),
-        ("local_rounds".to_string(), Json::U64(resp.local_rounds)),
-        ("star_fallbacks".to_string(), Json::U64(resp.star_fallbacks)),
-        (
-            "spanner_size".to_string(),
-            Json::U64(resp.spanner.len() as u64),
-        ),
-        (
-            "spanner".to_string(),
-            Json::Arr(resp.spanner.iter().map(|&e| Json::U64(e as u64)).collect()),
-        ),
-    ])
-    .encode()
+    schema::RUN_OK.json(resp)
 }
 
 /// Decodes a `POST /v1/jobs` 200 body back into a [`JobResponse`].
 pub fn decode_job_response(body: &[u8]) -> Result<JobResponse, JobError> {
-    let text = std::str::from_utf8(body).map_err(|_| proto("response is not UTF-8"))?;
-    let v = Json::parse(text).map_err(|e| proto(format!("bad JSON: {e}")))?;
-    let missing = |what: &str| proto(format!("missing `{what}` field"));
-    let key_hex = v
-        .get("key")
-        .and_then(Json::as_str)
-        .ok_or_else(|| missing("key"))?;
-    let key =
-        u64::from_str_radix(key_hex, 16).map_err(|_| proto(format!("invalid key `{key_hex}`")))?;
-    let kind: VariantKind = v
-        .get("variant")
-        .and_then(Json::as_str)
-        .ok_or_else(|| missing("variant"))?
-        .parse()
-        .map_err(JobError::Protocol)?;
-    let spanner = v
-        .get("spanner")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| missing("spanner"))?
-        .iter()
-        .map(|x| x.as_u64().and_then(|x| usize::try_from(x).ok()))
-        .collect::<Option<Vec<usize>>>()
-        .ok_or_else(|| proto("spanner ids must be non-negative integers"))?;
-    let size = narrow_usize(
-        v.get("spanner_size")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing("spanner_size"))?,
-        "spanner_size",
-    )?;
-    if spanner.len() != size {
-        return Err(proto(format!(
-            "spanner_size {size} does not match {} listed ids",
-            spanner.len()
-        )));
-    }
-    let field_u64 = |what: &str| {
-        v.get(what)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| missing(what))
-    };
-    Ok(JobResponse {
-        key,
-        kind,
-        spanner,
-        iterations: field_u64("iterations")?,
-        local_rounds: field_u64("local_rounds")?,
-        converged: v
-            .get("converged")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| missing("converged"))?,
-        star_fallbacks: field_u64("star_fallbacks")?,
-    })
+    schema::RUN_OK.decode_json(body)
 }
 
-// ---------------------------------------------------------------------
-// Graph JSON codecs
-// ---------------------------------------------------------------------
-
-/// Encodes the `PUT /v1/graphs/{id}` body for `spec` — exactly the
-/// job-spec schema without `timeout_ms` (the id travels in the path,
-/// not the body, so the body is the *definition* the conflict check
-/// compares).
-pub fn encode_graph_create_body(spec: &GraphSpec) -> String {
-    encode_job_spec(&JobSpec {
-        instance: spec.instance.clone(),
-        config: spec.config.clone(),
-        timeout: None,
-    })
+/// Encodes the `PUT /v1/graphs/{id}` body for `spec`: the job-spec
+/// body without execution policy, exactly as the `graph-create` frame
+/// carries it (the id travels in the path).
+pub(crate) fn encode_graph_create_body(spec: &GraphSpec) -> String {
+    schema::GRAPH_CREATE.json(&schema::graph_job(spec))
 }
 
-/// Decodes a `PUT /v1/graphs/{id}` body: a job spec whose execution
-/// policy must be absent (`timeout_ms`) or trivial (`shards`), because
-/// a named graph's bytes are a pure function of its definition and
-/// delta history — mirroring the wire decoder's `graph-create` checks.
-pub fn decode_graph_create_body(id: &str, body: &[u8]) -> Result<GraphSpec, JobError> {
-    let spec = decode_job_spec(body)?;
-    if spec.timeout.is_some() {
-        return Err(proto(
-            "graph create takes no `timeout_ms`; deadlines apply to reads, not definitions",
-        ));
-    }
-    if spec.config.num_shards != 1 {
-        return Err(proto(
-            "graphs are maintained single-shard; omit `shards` or set it to 1",
-        ));
-    }
-    Ok(GraphSpec {
-        id: id.to_string(),
-        instance: spec.instance,
-        config: spec.config,
-    })
+/// Decodes a `PUT /v1/graphs/{id}` body; execution policy is rejected.
+pub(crate) fn decode_graph_create_body(id: &str, body: &[u8]) -> Result<GraphSpec, JobError> {
+    schema::graph_spec(id.to_string(), schema::GRAPH_CREATE.decode_json(body)?)
 }
 
-/// Encodes a `PATCH /v1/graphs/{id}` body. Inserts render as
-/// `[u, v]` / `[u, v, w]` / `[u, v, "role"]` rows under `insert`,
-/// deletes as `[u, v]` rows under `delete`; the server applies the
-/// insert list (in order) before the delete list, matching this
-/// function's op order on decode.
+/// Encodes a `PATCH /v1/graphs/{id}` body: the inserts, then the
+/// deletes, each list in order.
 pub fn encode_graph_patch_body(ops: &[DeltaOp]) -> String {
-    let pair = |u: usize, v: usize| vec![Json::U64(u as u64), Json::U64(v as u64)];
-    let mut insert = Vec::new();
-    let mut delete = Vec::new();
-    for op in ops {
-        match op {
-            DeltaOp::Insert { u, v, weight, role } => {
-                let mut row = pair(*u, *v);
-                if let Some(w) = weight {
-                    row.push(Json::U64(*w));
-                }
-                if let Some(r) = role {
-                    row.push(Json::Str(r.as_str().to_string()));
-                }
-                insert.push(Json::Arr(row));
-            }
-            DeltaOp::Delete { u, v } => delete.push(Json::Arr(pair(*u, *v))),
-        }
-    }
-    let mut pairs = Vec::new();
-    if !insert.is_empty() {
-        pairs.push(("insert".to_string(), Json::Arr(insert)));
-    }
-    if !delete.is_empty() {
-        pairs.push(("delete".to_string(), Json::Arr(delete)));
-    }
-    Json::Obj(pairs).encode()
+    schema::GRAPH_PATCH.json(ops)
 }
 
 /// Decodes a `PATCH /v1/graphs/{id}` body into delta ops (inserts
 /// first, then deletes, each list in order).
 pub fn decode_graph_patch_body(body: &[u8]) -> Result<Vec<DeltaOp>, JobError> {
-    let text = std::str::from_utf8(body).map_err(|_| proto("body is not UTF-8"))?;
-    let v = Json::parse(text).map_err(|e| proto(format!("bad JSON: {e}")))?;
-    let pairs = v
-        .as_obj()
-        .ok_or_else(|| proto("patch must be a JSON object"))?;
-    for (key, _) in pairs {
-        if key != "insert" && key != "delete" {
-            return Err(proto(format!("unknown key `{key}`")));
-        }
-    }
-    let endpoint = |x: &Json, what: &str, i: usize| -> Result<usize, JobError> {
-        x.as_u64()
-            .and_then(|x| usize::try_from(x).ok())
-            .ok_or_else(|| {
-                proto(format!(
-                    "{what} {i}: endpoints must be non-negative integers"
-                ))
-            })
-    };
-    let mut ops = Vec::new();
-    if let Some(rows) = v.get("insert") {
-        let rows = rows
-            .as_arr()
-            .ok_or_else(|| proto("`insert` must be an array of edges"))?;
-        for (i, row) in rows.iter().enumerate() {
-            let fields = row
-                .as_arr()
-                .ok_or_else(|| proto(format!("insert {i} must be an array")))?;
-            if fields.len() < 2 || fields.len() > 3 {
-                return Err(proto(format!(
-                    "insert {i}: expected [u, v], [u, v, w], or [u, v, \"role\"]"
-                )));
-            }
-            let u = endpoint(&fields[0], "insert", i)?; // dsa-lint: allow(DSA-P003, reason="arity checked just above, fields has at least 2 elements")
-            let v = endpoint(&fields[1], "insert", i)?; // dsa-lint: allow(DSA-P003, reason="arity checked just above, fields has at least 2 elements")
-            let (weight, role) = match fields.get(2) {
-                None => (None, None),
-                Some(Json::U64(w)) => (Some(*w), None),
-                Some(Json::Str(s)) => match EdgeRole::parse(s) {
-                    Some(role) => (None, Some(role)),
-                    None => {
-                        return Err(proto(format!(
-                            "insert {i}: unknown role `{s}` (expected client/server/both)"
-                        )))
-                    }
-                },
-                Some(_) => {
-                    return Err(proto(format!(
-                        "insert {i}: third field must be a weight or a role string"
-                    )))
-                }
-            };
-            ops.push(DeltaOp::Insert { u, v, weight, role });
-        }
-    }
-    if let Some(rows) = v.get("delete") {
-        let rows = rows
-            .as_arr()
-            .ok_or_else(|| proto("`delete` must be an array of edges"))?;
-        for (i, row) in rows.iter().enumerate() {
-            let fields = row
-                .as_arr()
-                .ok_or_else(|| proto(format!("delete {i} must be an array")))?;
-            if fields.len() != 2 {
-                return Err(proto(format!("delete {i}: expected [u, v]")));
-            }
-            ops.push(DeltaOp::Delete {
-                u: endpoint(&fields[0], "delete", i)?, // dsa-lint: allow(DSA-P003, reason="arity checked just above, fields.len() == 2")
-                v: endpoint(&fields[1], "delete", i)?, // dsa-lint: allow(DSA-P003, reason="arity checked just above, fields.len() == 2")
-            });
-        }
-    }
-    Ok(ops)
+    schema::GRAPH_PATCH.decode_json(body)
 }
 
 /// Encodes the `PUT /v1/graphs/{id}` success body.
-pub fn encode_graph_created_body(r: &GraphCreated) -> String {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Str(r.id.clone())),
-        ("version".to_string(), Json::U64(r.version)),
-        ("edges".to_string(), Json::U64(r.edges as u64)),
-        ("spanner_size".to_string(), Json::U64(r.spanner_size as u64)),
-        ("existed".to_string(), Json::Bool(r.existed)),
-    ])
-    .encode()
+pub(crate) fn encode_graph_created_body(r: &GraphCreated) -> String {
+    schema::GRAPH_CREATED.json(r)
 }
 
 /// Decodes the `PUT /v1/graphs/{id}` success body.
-pub fn decode_graph_created_body(body: &[u8]) -> Result<GraphCreated, JobError> {
-    let (v, field) = parse_graph_body(body)?;
-    Ok(GraphCreated {
-        id: field_str(&v, "id")?,
-        version: field("version")?,
-        edges: narrow_usize(field("edges")?, "edges")?,
-        spanner_size: narrow_usize(field("spanner_size")?, "spanner_size")?,
-        existed: v
-            .get("existed")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| proto("missing `existed` field"))?,
-    })
+pub(crate) fn decode_graph_created_body(body: &[u8]) -> Result<GraphCreated, JobError> {
+    schema::GRAPH_CREATED.decode_json(body)
 }
 
 /// Encodes the `PATCH /v1/graphs/{id}` success body.
 pub fn encode_graph_patched_body(r: &GraphPatched) -> String {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Str(r.id.clone())),
-        ("version".to_string(), Json::U64(r.version)),
-        ("applied".to_string(), Json::U64(r.applied as u64)),
-        ("commuted".to_string(), Json::U64(r.classes.commuted)),
-        ("repaired".to_string(), Json::U64(r.classes.repaired)),
-        ("recomputed".to_string(), Json::U64(r.classes.recomputed)),
-        ("edges".to_string(), Json::U64(r.edges as u64)),
-    ])
-    .encode()
+    schema::GRAPH_PATCHED.json(r)
 }
 
 /// Decodes the `PATCH /v1/graphs/{id}` success body.
 pub fn decode_graph_patched_body(body: &[u8]) -> Result<GraphPatched, JobError> {
-    let (v, field) = parse_graph_body(body)?;
-    Ok(GraphPatched {
-        id: field_str(&v, "id")?,
-        version: field("version")?,
-        applied: narrow_usize(field("applied")?, "applied")?,
-        classes: crate::graphs::DeltaClasses {
-            commuted: field("commuted")?,
-            repaired: field("repaired")?,
-            recomputed: field("recomputed")?,
-        },
-        edges: narrow_usize(field("edges")?, "edges")?,
-    })
+    schema::GRAPH_PATCHED.decode_json(body)
 }
 
-/// Encodes the `GET /v1/graphs/{id}` success body. `cover_size` is
-/// `null` while the working cover is invalidated (after a delete or a
-/// restart, before the next solve).
-pub fn encode_graph_meta_body(r: &GraphMeta) -> String {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Str(r.id.clone())),
-        ("variant".to_string(), Json::Str(r.kind.to_string())),
-        ("version".to_string(), Json::U64(r.version)),
-        ("vertices".to_string(), Json::U64(r.vertices as u64)),
-        ("edges".to_string(), Json::U64(r.edges as u64)),
-        ("seed".to_string(), Json::U64(r.seed)),
-        (
-            "cover_size".to_string(),
-            match r.cover_size {
-                Some(size) => Json::U64(size as u64),
-                None => Json::Null,
-            },
-        ),
-        ("debt".to_string(), Json::U64(r.debt as u64)),
-        ("commuted".to_string(), Json::U64(r.classes.commuted)),
-        ("repaired".to_string(), Json::U64(r.classes.repaired)),
-        ("recomputed".to_string(), Json::U64(r.classes.recomputed)),
-    ])
-    .encode()
+/// Encodes the `GET /v1/graphs/{id}` success body.
+pub(crate) fn encode_graph_meta_body(r: &GraphMeta) -> String {
+    schema::GRAPH_META.json(r)
 }
 
 /// Decodes the `GET /v1/graphs/{id}` success body.
-pub fn decode_graph_meta_body(body: &[u8]) -> Result<GraphMeta, JobError> {
-    let (v, field) = parse_graph_body(body)?;
-    let kind: VariantKind = field_str(&v, "variant")?
-        .parse()
-        .map_err(JobError::Protocol)?;
-    let cover_size = match v.get("cover_size") {
-        None => return Err(proto("missing `cover_size` field")),
-        Some(Json::Null) => None,
-        Some(x) => Some(
-            x.as_u64()
-                .and_then(|x| usize::try_from(x).ok())
-                .ok_or_else(|| proto("`cover_size` must be an integer or null"))?,
-        ),
-    };
-    Ok(GraphMeta {
-        id: field_str(&v, "id")?,
-        kind,
-        version: field("version")?,
-        vertices: narrow_usize(field("vertices")?, "vertices")?,
-        edges: narrow_usize(field("edges")?, "edges")?,
-        seed: field("seed")?,
-        cover_size,
-        debt: narrow_usize(field("debt")?, "debt")?,
-        classes: crate::graphs::DeltaClasses {
-            commuted: field("commuted")?,
-            repaired: field("repaired")?,
-            recomputed: field("recomputed")?,
-        },
-    })
+pub(crate) fn decode_graph_meta_body(body: &[u8]) -> Result<GraphMeta, JobError> {
+    schema::GRAPH_META.decode_json(body)
 }
 
 /// Encodes the `GET /v1/graphs/{id}/spanner` success body — the JSON
-/// face of the per-graph byte-identity guarantee (a pure function of
-/// the graph's create + delta history).
+/// face of the per-graph byte-identity guarantee.
 pub fn encode_graph_spanner_body(r: &GraphSpannerResult) -> String {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Str(r.id.clone())),
-        ("version".to_string(), Json::U64(r.version)),
-        ("key".to_string(), Json::Str(format!("{:016x}", r.key))),
-        ("variant".to_string(), Json::Str(r.kind.to_string())),
-        ("converged".to_string(), Json::Bool(r.converged)),
-        ("iterations".to_string(), Json::U64(r.iterations)),
-        ("local_rounds".to_string(), Json::U64(r.local_rounds)),
-        ("star_fallbacks".to_string(), Json::U64(r.star_fallbacks)),
-        ("spanner_size".to_string(), Json::U64(r.edges.len() as u64)),
-        (
-            "spanner".to_string(),
-            Json::Arr(
-                r.edges
-                    .iter()
-                    .map(|&(u, v)| Json::Arr(vec![Json::U64(u as u64), Json::U64(v as u64)]))
-                    .collect(),
-            ),
-        ),
-    ])
-    .encode()
+    schema::GRAPH_SPANNER_OK.json(r)
 }
 
 /// Decodes the `GET /v1/graphs/{id}/spanner` success body.
 pub fn decode_graph_spanner_body(body: &[u8]) -> Result<GraphSpannerResult, JobError> {
-    let (v, field) = parse_graph_body(body)?;
-    let key_hex = field_str(&v, "key")?;
-    let key =
-        u64::from_str_radix(&key_hex, 16).map_err(|_| proto(format!("invalid key `{key_hex}`")))?;
-    let kind: VariantKind = field_str(&v, "variant")?
-        .parse()
-        .map_err(JobError::Protocol)?;
-    let rows = v
-        .get("spanner")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| proto("missing `spanner` (array of [u, v] pairs)"))?;
-    let mut edges = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let fields = row
-            .as_arr()
-            .filter(|f| f.len() == 2)
-            .ok_or_else(|| proto(format!("spanner edge {i} must be [u, v]")))?;
-        let endpoints = fields[0] // dsa-lint: allow(DSA-P003, reason="rows filtered to len() == 2 above")
-            .as_u64()
-            .and_then(|x| usize::try_from(x).ok())
-            .zip(fields[1].as_u64().and_then(|x| usize::try_from(x).ok())); // dsa-lint: allow(DSA-P003, reason="rows filtered to len() == 2 above")
-        match endpoints {
-            Some((u, v)) => edges.push((u, v)),
-            None => return Err(proto(format!("spanner edge {i}: bad endpoints"))),
-        }
-    }
-    let size = narrow_usize(field("spanner_size")?, "spanner_size")?;
-    if edges.len() != size {
-        return Err(proto(format!(
-            "spanner_size {size} does not match {} listed edges",
-            edges.len()
-        )));
-    }
-    Ok(GraphSpannerResult {
-        id: field_str(&v, "id")?,
-        version: field("version")?,
-        key,
-        kind,
-        converged: v
-            .get("converged")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| proto("missing `converged` field"))?,
-        iterations: field("iterations")?,
-        local_rounds: field("local_rounds")?,
-        star_fallbacks: field("star_fallbacks")?,
-        edges,
-    })
+    schema::GRAPH_SPANNER_OK.decode_json(body)
 }
 
 /// Encodes the `DELETE /v1/graphs/{id}` success body.
-pub fn encode_graph_deleted_body(id: &str) -> String {
-    Json::Obj(vec![
-        ("id".to_string(), Json::Str(id.to_string())),
-        ("deleted".to_string(), Json::Bool(true)),
-    ])
-    .encode()
-}
-
-/// Parses a graph response body, returning the JSON value and a
-/// u64-field accessor over it.
-#[allow(clippy::type_complexity)]
-fn parse_graph_body(
-    body: &[u8],
-) -> Result<(Json, impl Fn(&'static str) -> Result<u64, JobError> + '_), JobError> {
-    let text = std::str::from_utf8(body).map_err(|_| proto("response is not UTF-8"))?;
-    let v = Json::parse(text).map_err(|e| proto(format!("bad JSON: {e}")))?;
-    let owned = v.clone();
-    let field = move |what: &'static str| {
-        owned
-            .get(what)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| proto(format!("missing `{what}` field")))
-    };
-    Ok((v, field))
-}
-
-fn field_str(v: &Json, what: &str) -> Result<String, JobError> {
-    v.get(what)
-        .and_then(Json::as_str)
-        .map(String::from)
-        .ok_or_else(|| proto(format!("missing `{what}` field")))
+pub(crate) fn encode_graph_deleted_body(id: &str) -> String {
+    schema::GRAPH_DELETED.json(id)
 }
 
 // ---------------------------------------------------------------------
@@ -1657,16 +979,18 @@ impl HttpClient {
         }
     }
 
+    /// Sends one request and returns the body of a 2xx response; any
+    /// other status becomes [`JobError::Remote`].
+    fn call(&mut self, method: &str, path: &str, body: Option<&str>) -> Result<Vec<u8>, JobError> {
+        match self.request(method, path, body)? {
+            (200..=299, body) => Ok(body),
+            (status, body) => Err(remote_status(status, &body)),
+        }
+    }
+
     /// Runs one job via `POST /v1/jobs` and decodes the response.
     pub fn run(&mut self, spec: &JobSpec) -> Result<JobResponse, JobError> {
-        let (status, body) = self.run_raw(spec)?;
-        if status == 200 {
-            return decode_job_response(&body);
-        }
-        Err(JobError::Remote(format!(
-            "HTTP {status}: {}",
-            error_message(&body)
-        )))
+        decode_job_response(&self.call("POST", "/v1/jobs", Some(&encode_job_spec(spec)))?)
     }
 
     /// Runs one job and returns the raw `(status, body bytes)` — what
@@ -1686,118 +1010,64 @@ impl HttpClient {
         spec: &JobSpec,
         policy: &RetryPolicy,
     ) -> Result<JobResponse, JobError> {
-        let mut attempt = 0u32;
-        loop {
-            let (hint, err) = match self.run_raw(spec) {
-                Ok((200, body)) => return decode_job_response(&body),
-                Ok((status @ (429 | 503), body)) => (
-                    self.last_retry_after_ms,
-                    JobError::Remote(format!("HTTP {status}: {}", error_message(&body))),
-                ),
-                Ok((status, body)) => {
-                    // Validation and routing errors (4xx/5xx outside
-                    // the two transient codes) repeat identically on
-                    // resubmission; fail fast.
-                    return Err(JobError::Remote(format!(
-                        "HTTP {status}: {}",
-                        error_message(&body)
-                    )));
-                }
-                Err(e @ JobError::Io(_)) => {
-                    // The connection is gone or desynchronized (e.g. a
-                    // mid-response drop); replace it before retrying.
-                    // A failed reconnect (server restarting) is itself
-                    // retried: the dead stream just errors again.
-                    match self.reconnect() {
-                        Ok(()) => (None, e),
-                        Err(re) => (None, re),
-                    }
-                }
-                Err(e) => return Err(e),
-            };
-            if attempt >= policy.max_retries {
-                return Err(err);
+        policy.run(|| match self.run_raw(spec) {
+            Ok((200, body)) => Attempt::Done(decode_job_response(&body)),
+            Ok((status @ (429 | 503), body)) => {
+                Attempt::Retry(remote_status(status, &body), self.last_retry_after_ms)
             }
-            std::thread::sleep(policy.backoff(attempt, hint));
-            attempt += 1;
-        }
+            // Validation and routing errors (4xx/5xx outside the two
+            // transient codes) repeat identically on resubmission.
+            Ok((status, body)) => Attempt::Done(Err(remote_status(status, &body))),
+            // The connection is gone or desynchronized (e.g. a
+            // mid-response drop); replace it before retrying. A failed
+            // reconnect (server restarting) is itself retried.
+            Err(e @ JobError::Io(_)) => Attempt::Retry(self.reconnect().err().unwrap_or(e), None),
+            Err(e) => Attempt::Done(Err(e)),
+        })
     }
 
     /// Fetches `/v1/metrics` as one JSON line.
     pub fn metrics_json(&mut self) -> Result<String, JobError> {
-        let (status, body) = self.request("GET", "/v1/metrics", None)?;
-        if status != 200 {
-            return Err(JobError::Remote(format!(
-                "HTTP {status}: {}",
-                error_message(&body)
-            )));
-        }
+        let body = self.call("GET", "/v1/metrics", None)?;
         String::from_utf8(body).map_err(|_| proto("metrics body is not UTF-8"))
     }
 
     /// Fetches `/v1/metrics?format=prometheus` as text exposition.
     pub fn metrics_prometheus(&mut self) -> Result<String, JobError> {
-        let (status, body) = self.request("GET", "/v1/metrics?format=prometheus", None)?;
-        if status != 200 {
-            return Err(JobError::Remote(format!(
-                "HTTP {status}: {}",
-                error_message(&body)
-            )));
-        }
+        let body = self.call("GET", "/v1/metrics?format=prometheus", None)?;
         String::from_utf8(body).map_err(|_| proto("metrics body is not UTF-8"))
     }
 
     /// Liveness probe via `GET /healthz`.
     pub fn healthz(&mut self) -> Result<(), JobError> {
-        let (status, body) = self.request("GET", "/healthz", None)?;
-        if status != 200 {
-            return Err(JobError::Remote(format!(
-                "HTTP {status}: {}",
-                error_message(&body)
-            )));
-        }
-        Ok(())
+        self.call("GET", "/healthz", None).map(drop)
     }
 
     /// Creates (or idempotently re-creates) a named graph via
     /// `PUT /v1/graphs/{id}`.
     pub fn graph_create(&mut self, spec: &GraphSpec) -> Result<GraphCreated, JobError> {
-        let path = format!("/v1/graphs/{}", spec.id);
         let body = encode_graph_create_body(spec);
-        let (status, resp) = self.request("PUT", &path, Some(&body))?;
-        match status {
-            200 | 201 => decode_graph_created_body(&resp),
-            _ => Err(remote_status(status, &resp)),
-        }
+        let path = format!("/v1/graphs/{}", spec.id);
+        decode_graph_created_body(&self.call("PUT", &path, Some(&body))?)
     }
 
-    /// Applies edge deltas via `PATCH /v1/graphs/{id}`.
+    /// Applies edge deltas via `PATCH /v1/graphs/{id}`. The body lists
+    /// inserts before deletes, so a batch with an insert after a delete
+    /// is refused: send it as two patches.
     pub fn graph_patch(&mut self, id: &str, ops: &[DeltaOp]) -> Result<GraphPatched, JobError> {
-        let path = format!("/v1/graphs/{id}");
+        schema::check_json_patch_order(ops)?;
         let body = encode_graph_patch_body(ops);
-        let (status, resp) = self.request("PATCH", &path, Some(&body))?;
-        match status {
-            200 => decode_graph_patched_body(&resp),
-            _ => Err(remote_status(status, &resp)),
-        }
+        decode_graph_patched_body(&self.call("PATCH", &format!("/v1/graphs/{id}"), Some(&body))?)
     }
 
     /// Fetches graph metadata via `GET /v1/graphs/{id}`.
     pub fn graph_get(&mut self, id: &str) -> Result<GraphMeta, JobError> {
-        let (status, resp) = self.request("GET", &format!("/v1/graphs/{id}"), None)?;
-        match status {
-            200 => decode_graph_meta_body(&resp),
-            _ => Err(remote_status(status, &resp)),
-        }
+        decode_graph_meta_body(&self.call("GET", &format!("/v1/graphs/{id}"), None)?)
     }
 
     /// Fetches the maintained spanner via `GET /v1/graphs/{id}/spanner`.
     pub fn graph_spanner(&mut self, id: &str) -> Result<GraphSpannerResult, JobError> {
-        let (status, resp) = self.graph_spanner_raw(id)?;
-        match status {
-            200 => decode_graph_spanner_body(&resp),
-            _ => Err(remote_status(status, &resp)),
-        }
+        decode_graph_spanner_body(&self.call("GET", &format!("/v1/graphs/{id}/spanner"), None)?)
     }
 
     /// Fetches the maintained spanner as raw `(status, body bytes)` —
@@ -1808,12 +1078,13 @@ impl HttpClient {
 
     /// Deletes a named graph via `DELETE /v1/graphs/{id}`.
     pub fn graph_delete(&mut self, id: &str) -> Result<(), JobError> {
-        let (status, resp) = self.request("DELETE", &format!("/v1/graphs/{id}"), None)?;
-        match status {
-            200 => Ok(()),
-            _ => Err(remote_status(status, &resp)),
-        }
+        self.call("DELETE", &format!("/v1/graphs/{id}"), None)
+            .map(drop)
     }
+}
+
+fn proto(message: impl Into<String>) -> JobError {
+    JobError::Protocol(message.into())
 }
 
 /// A non-2xx response folded into [`JobError::Remote`].
@@ -1823,21 +1094,20 @@ fn remote_status(status: u16, body: &[u8]) -> JobError {
 
 /// Extracts the `error` field of an error body, or shows the raw body.
 fn error_message(body: &[u8]) -> String {
-    std::str::from_utf8(body)
-        .ok()
-        .and_then(|text| {
-            Json::parse(text)
-                .ok()
-                .and_then(|v| v.get("error").and_then(Json::as_str).map(String::from))
-        })
-        .unwrap_or_else(|| String::from_utf8_lossy(body).into_owned())
+    schema::ERR
+        .decode_json(body)
+        .map(|(message, _)| message)
+        .unwrap_or_else(|_| String::from_utf8_lossy(body).into_owned())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graphs::EdgeRole;
     use crate::job::canonicalize_job;
-    use dsa_graphs::EdgeWeights;
+    use dsa_core::dist::{EngineConfig, VariantInstance, VariantKind};
+    use dsa_graphs::{EdgeSet, EdgeWeights, Graph};
+    use std::time::Duration;
 
     fn roundtrip(spec: &JobSpec) -> JobSpec {
         decode_job_spec(encode_job_spec(spec).as_bytes()).unwrap()
@@ -1908,7 +1178,7 @@ mod tests {
             br#"{"variant":"undirected","seed":1,"graph":{"n":2,"edges":[[0,1]]},"shards":9223372036854775808}"#,
         )
         .unwrap();
-        assert_eq!(spec.config.num_shards as u64, crate::wire::MAX_SHARDS);
+        assert_eq!(spec.config.num_shards as u64, crate::schema::MAX_SHARDS);
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
         let mut pathological = JobSpec::new(VariantInstance::Undirected { graph: g }, 1);
         pathological.timeout = Some(Duration::MAX);

@@ -119,7 +119,7 @@ impl std::error::Error for JobError {}
 /// flag, no timing): the same spec always yields the same response
 /// bytes whether it was computed cold, coalesced, or served from
 /// cache.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JobResponse {
     /// The canonical job key (also the cache key).
     pub key: u64,

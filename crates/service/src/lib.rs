@@ -55,13 +55,12 @@ pub mod client;
 pub mod graphs;
 pub mod http;
 mod job;
-#[cfg(test)]
-mod message_pins;
 mod metrics;
 mod net;
 mod pool;
 mod record_log;
 pub mod retry;
+mod schema;
 pub mod server;
 mod service;
 mod store;
@@ -78,6 +77,9 @@ pub use metrics::MetricsSnapshot;
 pub use retry::RetryPolicy;
 pub use server::Server;
 pub use service::{JobHandle, Service, ServiceConfig};
+
+#[cfg(test)]
+mod message_pins;
 
 /// The README text between `<!-- {name}:begin -->` and
 /// `<!-- {name}:end -->`: the generated sections that tests keep in

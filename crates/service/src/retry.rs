@@ -17,6 +17,18 @@
 
 use std::time::Duration;
 
+use crate::job::JobError;
+
+/// What one attempt of a retried call came to. Each surface classifies
+/// its own failures; [`RetryPolicy::run`] owns the loop.
+pub(crate) enum Attempt<T> {
+    /// Final: a result, or an error a resubmission would repeat.
+    Done(Result<T, JobError>),
+    /// A transient failure, retried after the backoff — at least the
+    /// server's hint (milliseconds) when it sent one.
+    Retry(JobError, Option<u64>),
+}
+
 /// A capped, jittered exponential backoff schedule for client retries.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
@@ -59,6 +71,23 @@ impl RetryPolicy {
         match server_hint_ms {
             Some(ms) => jittered.max(Duration::from_millis(ms)),
             None => jittered,
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Calls `attempt` until it is done, sleeping the backoff between
+    /// transient failures; after `max_retries` retries the last
+    /// transient error is returned.
+    pub(crate) fn run<T>(&self, mut attempt: impl FnMut() -> Attempt<T>) -> Result<T, JobError> {
+        let mut retries = 0u32;
+        loop {
+            match attempt() {
+                Attempt::Done(result) => return result,
+                Attempt::Retry(e, _) if retries >= self.max_retries => return Err(e),
+                Attempt::Retry(_, hint) => std::thread::sleep(self.backoff(retries, hint)),
+            }
+            retries += 1;
         }
     }
 }

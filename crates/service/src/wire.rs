@@ -1,75 +1,30 @@
 //! The length-prefixed request/response wire protocol of
 //! `spanner-serve`.
 //!
-//! # Framing
-//!
 //! Every message is one *frame*: a 4-byte big-endian payload length
 //! followed by that many bytes of UTF-8 text. Frames larger than
 //! [`MAX_FRAME`] are rejected. A connection carries any number of
 //! request frames, each answered by exactly one response frame, until
 //! the client closes it.
 //!
-//! # Requests
-//!
-//! A request payload is a line-oriented header, one `key value` pair
-//! per line, opened by a command line:
-//!
-//! ```text
-//! run v1                  |  stats v1  |  ping v1
-//! variant weighted
-//! seed 42
-//! accept-denominator 8    # optional, default 8
-//! monotone 1              # optional, default 1
-//! round-densities 1       # optional, default 1
-//! max-iterations 1000000  # optional
-//! shards 4                # optional, default 1; 0 = one per core;
-//!                         # capped at MAX_SHARDS at decode time
-//! timeout-ms 2000         # optional
-//! clients 0 2 5           # client-server only
-//! servers 1 3 4           # client-server only
-//! graph                   # the rest is a dsa-graphs edge list
-//! # n 5
-//! 0 1 3
-//! ...
-//! ```
-//!
-//! The graph body is the [`dsa_graphs::io`] text format (weighted for
-//! the `weighted` variant, directed for `directed`); `clients` /
-//! `servers` list edge ids of the parsed (normalized) edge list.
-//!
-//! # Responses
-//!
-//! ```text
-//! ok run                  |  ok stats        |  ok ping  |  err <message>  |  busy <retry-after-ms>
-//! key 1f2e3d4c5b6a7988    |  {"jobs_...": 1}
-//! variant weighted
-//! converged 1
-//! iterations 12
-//! local-rounds 84
-//! star-fallbacks 0
-//! spanner-size 3
-//! spanner 0 4 7
-//! ```
-//!
-//! A `run` response is a pure function of the job spec — no timing, no
-//! cached/coalesced flag — so a cache hit is byte-identical to the
-//! cold computation of the same spec. `shards` requests parallel
-//! in-engine execution; it cannot change the response bytes (the
-//! engine is shard-count-deterministic), is not part of the job's
-//! cache identity, and may be overridden by the server's `--shards`
-//! flag.
+//! A payload is a command line followed by `key value` lines; every
+//! frame shape is declared once in the message schema, which the
+//! README's "Message reference" lists. A `run` response is a pure
+//! function of the job spec — no timing, no cached/coalesced flag — so
+//! a cache hit is byte-identical to the cold computation of the same
+//! spec. `shards` requests parallel in-engine execution; it cannot
+//! change the response bytes (the engine is shard-count-deterministic),
+//! is not part of the job's cache identity, and may be overridden by
+//! the server's `--shards` flag.
 
 use std::io::{Read, Write};
-use std::time::Duration;
-
-use dsa_core::dist::{EngineConfig, VariantInstance, VariantKind};
-use dsa_graphs::{io as gio, EdgeSet};
 
 use crate::graphs::{
-    valid_graph_id, DeltaOp, EdgeRole, GraphCreated, GraphMeta, GraphPatched, GraphSpannerResult,
-    GraphSpec,
+    DeltaOp, GraphCreated, GraphMeta, GraphPatched, GraphSpannerResult, GraphSpec,
 };
 use crate::job::{JobError, JobResponse, JobSpec};
+use crate::schema::{self, Message};
+pub use crate::schema::{parse_delta_ops, parse_instance};
 
 /// Upper bound on a frame payload (64 MiB): a million-edge graph fits
 /// with a wide margin, while a corrupt length prefix cannot trigger an
@@ -81,22 +36,6 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// unchanged byte-for-byte, so v1 clients are served without
 /// negotiation.
 pub const PROTO_VERSION: u64 = 2;
-
-/// Cap applied to a request's `shards` value at decode time (shared
-/// with the HTTP facade). The engine already clamps its shard count to
-/// `max(64, cores)` internally, so any value at or above that is "as
-/// wide as the machine allows" — capping here preserves that meaning
-/// (mirroring the `--shards` operator override, which feeds the same
-/// clamp) while keeping a hostile `shards 2^63` from being truncated
-/// by the `u64 -> usize` conversion on 32-bit targets. Shard count is
-/// execution policy, never job identity, so the cap cannot change
-/// response bytes.
-pub const MAX_SHARDS: u64 = 1 << 16;
-
-/// Decodes a wire/HTTP `shards` value: capped, then safely narrowed.
-pub(crate) fn decode_shards(requested: u64) -> usize {
-    requested.min(MAX_SHARDS) as usize // dsa-lint: allow(DSA-C001, reason="value capped at MAX_SHARDS, far below usize::MAX, before narrowing")
-}
 
 /// Writes one frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
@@ -209,935 +148,199 @@ pub enum Response {
     },
 }
 
-fn parse_u64(value: &str, what: &str) -> Result<u64, JobError> {
-    value
-        .parse()
-        .map_err(|_| JobError::Protocol(format!("invalid {what}: `{value}`")))
-}
-
-fn parse_flag(value: &str, what: &str) -> Result<bool, JobError> {
-    match value {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err(JobError::Protocol(format!(
-            "invalid {what}: `{value}` (expected 0 or 1)"
-        ))),
-    }
-}
-
-/// Parses a whitespace-separated edge-id list into a set over
-/// `0..universe`, rejecting out-of-range ids. Shared by the request
-/// decoder and `spanner-cli` so the two never drift.
-pub fn parse_id_list(value: &str, universe: usize, what: &str) -> Result<EdgeSet, JobError> {
-    let mut set = EdgeSet::new(universe);
-    for field in value.split_whitespace() {
-        let id = narrow_usize(parse_u64(field, what)?, what)?;
-        if id >= universe {
-            return Err(JobError::Protocol(format!(
-                "{what} id {id} out of range for {universe} edges"
-            )));
-        }
-        set.insert(id);
-    }
-    Ok(set)
-}
-
-/// Encodes a job spec as a `run v1` request payload.
+/// Encodes a job spec as a `run v1` request payload. These bytes are
+/// also the result store's on-disk identity of the job.
 pub fn encode_request(spec: &JobSpec) -> String {
-    format!("run v1\n{}", encode_run_body(spec))
-}
-
-/// Encodes the body of a `run v1` payload (everything after the
-/// command line). Shared with `graph-create v2`, whose body after the
-/// `id` line is exactly a run body — sharing the builder (instead of
-/// stripping the command line off a full encoding) keeps the
-/// relationship structural rather than an assertable invariant.
-fn encode_run_body(spec: &JobSpec) -> String {
-    let mut out = String::new();
-    let kind = spec.instance.kind();
-    out.push_str(&format!("variant {kind}\n"));
-    out.push_str(&format!("seed {}\n", spec.config.seed));
-    out.push_str(&format!(
-        "accept-denominator {}\n",
-        spec.config.accept_denominator
-    ));
-    out.push_str(&format!(
-        "monotone {}\n",
-        u8::from(spec.config.monotone_stars)
-    ));
-    out.push_str(&format!(
-        "round-densities {}\n",
-        u8::from(spec.config.round_densities)
-    ));
-    out.push_str(&format!("max-iterations {}\n", spec.config.max_iterations));
-    if spec.config.num_shards != 1 {
-        out.push_str(&format!("shards {}\n", spec.config.num_shards));
-    }
-    if let Some(t) = spec.timeout {
-        // Saturating: `as_millis` is u128 and a pathological Duration
-        // (Duration::MAX is ~5.8e14 years) must encode as "wait
-        // practically forever", not wrap into a short deadline — and
-        // the value must stay parseable by the u64 decoder.
-        out.push_str(&format!("timeout-ms {}\n", saturating_millis(t)));
-    }
-    let graph_text = match &spec.instance {
-        VariantInstance::Undirected { graph } => gio::to_edge_list(graph, None),
-        VariantInstance::Weighted { graph, weights } => gio::to_edge_list(graph, Some(weights)),
-        VariantInstance::Directed { graph } => gio::to_directed_edge_list(graph),
-        VariantInstance::ClientServer {
-            graph,
-            clients,
-            servers,
-        } => {
-            let ids = |s: &EdgeSet| {
-                s.iter()
-                    .map(|e| e.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            };
-            out.push_str(&format!("clients {}\n", ids(clients)));
-            out.push_str(&format!("servers {}\n", ids(servers)));
-            gio::to_edge_list(graph, None)
-        }
-    };
-    out.push_str("graph\n");
-    out.push_str(&graph_text);
-    out
-}
-
-/// Narrows a decoded `u64` into `usize`, failing the request (rather
-/// than silently truncating on 32-bit targets) when it does not fit.
-/// Shared by every decode path: the C-series lint (`DSA-C001`) bans
-/// bare `as` narrowing on decoded values.
-pub(crate) fn narrow_usize(x: u64, what: &str) -> Result<usize, JobError> {
-    usize::try_from(x).map_err(|_| {
-        JobError::Protocol(format!("{what} {x} exceeds this platform's address width"))
-    })
-}
-
-/// A duration's millisecond count, saturated into `u64` (shared with
-/// the HTTP facade's `timeout_ms` encoder).
-pub(crate) fn saturating_millis(t: Duration) -> u64 {
-    u64::try_from(t.as_millis()).unwrap_or(u64::MAX)
+    schema::RUN.text(spec)
 }
 
 /// Encodes the `stats v1` request payload.
-pub fn encode_stats_request() -> String {
-    "stats v1\n".to_string()
+pub(crate) fn encode_stats_request() -> String {
+    schema::STATS.text(&())
 }
 
 /// Encodes the `ping v1` request payload.
-pub fn encode_ping_request() -> String {
-    "ping v1\n".to_string()
+pub(crate) fn encode_ping_request() -> String {
+    schema::PING.text(&())
 }
 
 /// Encodes a `hello vN` handshake request.
 pub fn encode_hello_request(proto: u64) -> String {
-    format!("hello v{proto}\n")
+    schema::HELLO.text(&proto)
 }
 
-/// Encodes a named-graph create as a `graph-create v2` payload.
-///
-/// The body after the `id` line is exactly a `run v1` body (the same
-/// headers, the same graph text), so create decoding — and thus the
-/// delta log, which stores these bytes — shares every normalization
-/// rule with one-shot jobs. Execution policy (shards, timeout, timing)
-/// is stripped: it is per-read, never part of a graph's definition.
-pub fn encode_graph_create(spec: &GraphSpec) -> String {
-    let mut config = spec.config.clone();
-    config.num_shards = 1;
-    config.cancel = None;
-    config.collect_timings = false;
-    let job = JobSpec {
-        instance: spec.instance.clone(),
-        config,
-        timeout: None,
-    };
-    format!("graph-create v2\nid {}\n{}", spec.id, encode_run_body(&job))
+/// Encodes a named-graph create as a `graph-create v2` payload: an `id`
+/// line, then a `run v1` body without execution policy (shards,
+/// timeout), which applies per read, never to a graph's definition.
+/// The delta log stores these bytes.
+pub(crate) fn encode_graph_create(spec: &GraphSpec) -> String {
+    schema::GRAPH_CREATE.text_for(&spec.id, &schema::graph_job(spec))
 }
 
-/// Encodes a delta batch as a `graph-patch v2` payload. Op lines are
-/// `+ u v` (insert), `+ u v <weight>` (weighted insert),
-/// `+ u v client|server|both` (client-server insert), `- u v` (delete).
+/// Encodes a delta batch as a `graph-patch v2` payload.
 pub fn encode_graph_patch(id: &str, ops: &[DeltaOp]) -> String {
-    let mut out = format!("graph-patch v2\nid {id}\nops\n");
-    for op in ops {
-        match *op {
-            DeltaOp::Insert { u, v, weight, role } => {
-                out.push_str(&format!("+ {u} {v}"));
-                if let Some(w) = weight {
-                    out.push_str(&format!(" {w}"));
-                }
-                if let Some(r) = role {
-                    out.push_str(&format!(" {}", r.as_str()));
-                }
-                out.push('\n');
-            }
-            DeltaOp::Delete { u, v } => out.push_str(&format!("- {u} {v}\n")),
-        }
-    }
-    out
+    schema::GRAPH_PATCH.text_for(id, ops)
 }
 
 /// Encodes a `graph-get v2` metadata request.
-pub fn encode_graph_get(id: &str) -> String {
-    format!("graph-get v2\nid {id}\n")
+pub(crate) fn encode_graph_get(id: &str) -> String {
+    schema::GRAPH_GET.text_for(id, &())
 }
 
 /// Encodes a `graph-spanner v2` read request.
 pub fn encode_graph_spanner_request(id: &str) -> String {
-    format!("graph-spanner v2\nid {id}\n")
+    schema::GRAPH_SPANNER.text_for(id, &())
 }
 
 /// Encodes a `graph-delete v2` request.
-pub fn encode_graph_delete(id: &str) -> String {
-    format!("graph-delete v2\nid {id}\n")
+pub(crate) fn encode_graph_delete(id: &str) -> String {
+    schema::GRAPH_DELETE.text_for(id, &())
 }
+
+/// Decodes `payload` as message `m`, mapping its graph id and value to
+/// the result; `None` when the payload is another message.
+fn decode_as<T: ?Sized, D: Default, R>(
+    payload: &str,
+    m: &Message<T, D>,
+    into: impl Fn(String, D) -> Result<R, JobError>,
+) -> Option<Result<R, JobError>> {
+    m.decode_text(payload)
+        .map(|decoded| decoded.and_then(|(id, d)| into(id, d)))
+}
+
+/// One way a payload may decode, tried in turn.
+type Decoder<'a, R> = &'a dyn Fn() -> Option<Result<R, JobError>>;
 
 /// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, JobError> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| JobError::Protocol("request is not UTF-8".into()))?;
-    let (head, rest) = text.split_once('\n').unwrap_or((text, ""));
-    match head.trim_end() {
-        "run v1" => decode_run_request(rest),
-        "stats v1" => Ok(Request::Stats),
-        "ping v1" => Ok(Request::Ping),
-        "graph-create v2" => decode_graph_create_request(rest),
-        "graph-patch v2" => decode_graph_patch_request(rest),
-        "graph-get v2" => decode_graph_id_request(rest, |id| Request::GraphGet { id }),
-        "graph-spanner v2" => decode_graph_id_request(rest, |id| Request::GraphSpanner { id }),
-        "graph-delete v2" => decode_graph_id_request(rest, |id| Request::GraphDelete { id }),
-        other => {
-            if let Some(version) = other.strip_prefix("hello v") {
-                let proto = parse_u64(version, "hello protocol version")?;
-                if proto == 0 {
-                    return Err(JobError::Protocol("protocol versions start at 1".into()));
-                }
-                return Ok(Request::Hello { proto });
-            }
-            Err(JobError::Protocol(format!(
-                "unknown command `{other}` (expected `hello vN`, `run v1`, `stats v1`, \
-                 `ping v1`, or a `graph-create|patch|get|spanner|delete v2` frame)"
-            )))
-        }
-    }
-}
-
-/// Parses an `id <name>` line, validating the graph-id alphabet.
-fn decode_id_line(line: &str) -> Result<String, JobError> {
-    let line = line.trim();
-    let id = line
-        .strip_prefix("id ")
-        .ok_or_else(|| JobError::Protocol(format!("expected `id <name>` line, got `{line}`")))?
-        .trim();
-    if !valid_graph_id(id) {
-        return Err(JobError::Protocol(format!(
-            "invalid graph id `{id}` (1-64 characters from [a-zA-Z0-9._-])"
-        )));
-    }
-    Ok(id.to_string())
-}
-
-fn decode_graph_create_request(body: &str) -> Result<Request, JobError> {
-    let (id_line, rest) = body
-        .split_once('\n')
-        .ok_or_else(|| JobError::Protocol("graph-create needs an `id` line".into()))?;
-    let id = decode_id_line(id_line)?;
-    // The body after `id` is a run-v1 body: one decoder, one set of
-    // normalization and hardening rules (including the vertex-count
-    // bound) for jobs, graph creates, and the delta log.
-    let job = decode_run_spec(rest)?;
-    if job.timeout.is_some() {
-        return Err(JobError::Protocol(
-            "graph-create does not take `timeout-ms` (timeouts are per-read)".into(),
-        ));
-    }
-    if job.config.num_shards != 1 {
-        return Err(JobError::Protocol(
-            "graph-create does not take `shards` (execution policy is per-read)".into(),
-        ));
-    }
-    Ok(Request::GraphCreate(Box::new(GraphSpec {
-        id,
-        instance: job.instance,
-        config: job.config,
-    })))
-}
-
-fn decode_graph_patch_request(body: &str) -> Result<Request, JobError> {
-    let mut lines = body.lines();
-    let id = decode_id_line(
-        lines
-            .next()
-            .ok_or_else(|| JobError::Protocol("graph-patch needs an `id` line".into()))?,
-    )?;
-    match lines.next().map(str::trim) {
-        Some("ops") => {}
-        other => {
-            return Err(JobError::Protocol(format!(
-                "expected `ops` line after the id, got `{}`",
-                other.unwrap_or("<end of frame>")
-            )))
-        }
-    }
-    let rest: Vec<&str> = lines.collect();
-    let ops = parse_delta_ops(&rest.join("\n"))?;
-    Ok(Request::GraphPatch { id, ops })
-}
-
-/// Parses a block of delta-op lines — `+ u v [weight|client|server|both]`
-/// inserts, `- u v` deletes; blank lines and `#` comments are skipped.
-/// Shared by the `graph-patch` frame decoder and `spanner-cli graph
-/// patch`, so CLI and wire never drift.
-pub fn parse_delta_ops(text: &str) -> Result<Vec<DeltaOp>, JobError> {
-    let mut ops = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        ops.push(decode_delta_op(line)?);
-    }
-    Ok(ops)
-}
-
-/// Parses one delta-op line: `+ u v [weight|role]` or `- u v`. The
-/// third insert operand disambiguates lexically (all digits: weight;
-/// role word: role) so the decoder needs no variant knowledge — the
-/// registry validates variant fit.
-fn decode_delta_op(line: &str) -> Result<DeltaOp, JobError> {
-    let malformed = || {
-        JobError::Protocol(format!(
-            "malformed delta op `{line}` (expected `+ u v [weight|client|server|both]` or `- u v`)"
-        ))
+    let create = |id, d| Ok(Request::GraphCreate(Box::new(schema::graph_spec(id, d)?)));
+    let hello = |_, proto| match proto {
+        0 => Err(JobError::Protocol("protocol versions start at 1".into())),
+        proto => Ok(Request::Hello { proto }),
     };
-    let endpoint = |raw: &str| {
-        parse_u64(raw, "delta endpoint").and_then(|x| narrow_usize(x, "delta endpoint"))
-    };
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    match fields.as_slice() {
-        ["+", u, v] => Ok(DeltaOp::Insert {
-            u: endpoint(u)?,
-            v: endpoint(v)?,
-            weight: None,
-            role: None,
-        }),
-        ["+", u, v, extra] => {
-            let (u, v) = (endpoint(u)?, endpoint(v)?);
-            if extra.bytes().all(|b| b.is_ascii_digit()) {
-                Ok(DeltaOp::Insert {
-                    u,
-                    v,
-                    weight: Some(parse_u64(extra, "edge weight")?),
-                    role: None,
-                })
-            } else if let Some(role) = EdgeRole::parse(extra) {
-                Ok(DeltaOp::Insert {
-                    u,
-                    v,
-                    weight: None,
-                    role: Some(role),
-                })
-            } else {
-                Err(malformed())
-            }
-        }
-        ["-", u, v] => Ok(DeltaOp::Delete {
-            u: endpoint(u)?,
-            v: endpoint(v)?,
-        }),
-        _ => Err(malformed()),
-    }
-}
-
-fn decode_graph_id_request(
-    body: &str,
-    build: impl FnOnce(String) -> Request,
-) -> Result<Request, JobError> {
-    let id_line = body.split('\n').next().unwrap_or("");
-    Ok(build(decode_id_line(id_line)?))
-}
-
-fn decode_run_request(body: &str) -> Result<Request, JobError> {
-    Ok(Request::Run(decode_run_spec(body)?))
-}
-
-/// Decodes a run-v1 body into its job spec (shared by `run v1` and
-/// `graph-create v2`, which embeds the same body after its `id` line).
-fn decode_run_spec(body: &str) -> Result<Box<JobSpec>, JobError> {
-    let mut variant: Option<VariantKind> = None;
-    let mut seed: Option<u64> = None;
-    let mut accept_denominator: Option<u64> = None;
-    let mut monotone: Option<bool> = None;
-    let mut round_densities: Option<bool> = None;
-    let mut max_iterations: Option<u64> = None;
-    let mut shards: Option<usize> = None;
-    let mut timeout: Option<Duration> = None;
-    let mut clients_line: Option<String> = None;
-    let mut servers_line: Option<String> = None;
-    let mut graph_text: Option<&str> = None;
-
-    let mut rest = body;
-    while !rest.is_empty() {
-        let (line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
-        let line_trimmed = line.trim();
-        if line_trimmed == "graph" {
-            graph_text = Some(tail);
-            break;
-        }
-        rest = tail;
-        if line_trimmed.is_empty() {
-            continue;
-        }
-        // A bare key (e.g. `clients` with an empty id list) carries
-        // an empty value.
-        let (key, value) = line_trimmed.split_once(' ').unwrap_or((line_trimmed, ""));
-        let value = value.trim();
-        match key {
-            "variant" => variant = Some(value.parse::<VariantKind>().map_err(JobError::Protocol)?),
-            "seed" => seed = Some(parse_u64(value, "seed")?),
-            "accept-denominator" => {
-                accept_denominator = Some(parse_u64(value, "accept-denominator")?)
-            }
-            "monotone" => monotone = Some(parse_flag(value, "monotone")?),
-            "round-densities" => round_densities = Some(parse_flag(value, "round-densities")?),
-            "max-iterations" => max_iterations = Some(parse_u64(value, "max-iterations")?),
-            "shards" => shards = Some(decode_shards(parse_u64(value, "shards")?)),
-            "timeout-ms" => timeout = Some(Duration::from_millis(parse_u64(value, "timeout-ms")?)),
-            "clients" => clients_line = Some(value.to_string()),
-            "servers" => servers_line = Some(value.to_string()),
-            other => return Err(JobError::Protocol(format!("unknown header `{other}`"))),
-        }
-    }
-
-    let variant = variant.ok_or_else(|| JobError::Protocol("missing `variant` header".into()))?;
-    let seed = seed.ok_or_else(|| JobError::Protocol("missing `seed` header".into()))?;
-    let graph_text =
-        graph_text.ok_or_else(|| JobError::Protocol("missing `graph` section".into()))?;
-    check_declared_vertices(graph_text)?;
-
-    let instance = match variant {
-        VariantKind::Undirected => {
-            let (graph, w) = gio::parse_edge_list(graph_text)
-                .map_err(|e| JobError::Protocol(format!("bad graph: {e}")))?;
-            if w.is_some() {
-                return Err(JobError::Protocol(
-                    "undirected variant takes an unweighted edge list".into(),
-                ));
-            }
-            VariantInstance::Undirected { graph }
-        }
-        VariantKind::Weighted => {
-            let (graph, w) = gio::parse_edge_list(graph_text)
-                .map_err(|e| JobError::Protocol(format!("bad graph: {e}")))?;
-            let weights = w.ok_or_else(|| {
-                JobError::Protocol("weighted variant needs `u v w` edge lines".into())
-            })?;
-            VariantInstance::Weighted { graph, weights }
-        }
-        VariantKind::Directed => {
-            let graph = gio::parse_directed_edge_list(graph_text)
-                .map_err(|e| JobError::Protocol(format!("bad graph: {e}")))?;
-            VariantInstance::Directed { graph }
-        }
-        VariantKind::ClientServer => {
-            let (graph, w) = gio::parse_edge_list(graph_text)
-                .map_err(|e| JobError::Protocol(format!("bad graph: {e}")))?;
-            if w.is_some() {
-                return Err(JobError::Protocol(
-                    "client-server variant takes an unweighted edge list".into(),
-                ));
-            }
-            let m = graph.num_edges();
-            let clients = parse_id_list(
-                &clients_line
-                    .ok_or_else(|| JobError::Protocol("missing `clients` header".into()))?,
-                m,
-                "client",
-            )?;
-            let servers = parse_id_list(
-                &servers_line
-                    .ok_or_else(|| JobError::Protocol("missing `servers` header".into()))?,
-                m,
-                "server",
-            )?;
-            VariantInstance::ClientServer {
-                graph,
-                clients,
-                servers,
-            }
-        }
-    };
-
-    let mut config = EngineConfig::seeded(seed);
-    if let Some(d) = accept_denominator {
-        if d == 0 {
-            return Err(JobError::Protocol("accept-denominator must be >= 1".into()));
-        }
-        config.accept_denominator = d;
-    }
-    if let Some(m) = monotone {
-        config.monotone_stars = m;
-    }
-    if let Some(r) = round_densities {
-        config.round_densities = r;
-    }
-    if let Some(m) = max_iterations {
-        config.max_iterations = m;
-    }
-    if let Some(s) = shards {
-        config.num_shards = s;
-    }
-
-    Ok(Box::new(JobSpec {
-        instance,
-        config,
-        timeout,
-    }))
-}
-
-/// Vertex count every request may declare regardless of its size, so
-/// sparse graphs over large id spaces (mostly isolated vertices) stay
-/// servable over the wire.
-pub const MIN_VERTEX_ALLOWANCE: u64 = 1 << 20;
-
-/// Rejects a graph body whose `# n <count>` header declares more
-/// vertices than the request can justify.
-///
-/// The frame cap bounds payload *bytes*, but `Graph::new(n)` allocates
-/// per declared vertex, so without this check a ~60-byte frame could
-/// demand gigabytes. The bound is `max(2 * body length + 1024,`
-/// [`MIN_VERTEX_ALLOWANCE`]`)`: every non-isolated vertex occupies at
-/// least one byte of some edge line, and the absolute allowance keeps
-/// legitimate sparse graphs (big id space, few edges) inside the
-/// protocol while capping a hostile header at ~megabytes of
-/// allocation. The scan mirrors `dsa_graphs::io`'s header rule: the
-/// first `# n <count>` comment wins.
-fn check_declared_vertices(graph_text: &str) -> Result<(), JobError> {
-    for line in graph_text.lines() {
-        let Some(rest) = line.trim().strip_prefix('#') else {
-            continue;
-        };
-        let fields: Vec<&str> = rest.split_whitespace().collect();
-        // dsa-lint: allow(DSA-P003, reason="short-circuit: fields[0] only reached when len == 2")
-        if fields.len() != 2 || fields[0] != "n" {
-            continue;
-        }
-        // Unparseable counts fall through to the io parser's error.
-        // dsa-lint: allow(DSA-P003, reason="arity checked just above, fields.len() == 2")
-        if let Ok(n) = fields[1].parse::<u64>() {
-            let limit = (2 * graph_text.len() as u64 + 1024).max(MIN_VERTEX_ALLOWANCE);
-            if n > limit {
-                return Err(JobError::Protocol(format!(
-                    "declared vertex count {n} exceeds the request-size bound {limit}"
-                )));
-            }
-        }
-        return Ok(());
-    }
-    Ok(())
-}
-
-/// Encodes a job result as an `ok run` response payload.
-///
-/// Deterministic in the response: the serving path (cold, cached,
-/// coalesced) leaves no trace in the bytes.
-pub fn encode_run_response(resp: &JobResponse) -> String {
-    let ids = resp
-        .spanner
+    #[rustfmt::skip]
+    let decoders: [Decoder<Request>; 9] = [
+        &|| decode_as(text, &schema::RUN, |_, d| Ok(Request::Run(Box::new(d.spec)))),
+        &|| decode_as(text, &schema::GRAPH_CREATE, create),
+        &|| decode_as(text, &schema::GRAPH_PATCH, |id, ops| Ok(Request::GraphPatch { id, ops })),
+        &|| decode_as(text, &schema::GRAPH_GET, |id, ()| Ok(Request::GraphGet { id })),
+        &|| decode_as(text, &schema::GRAPH_SPANNER, |id, ()| Ok(Request::GraphSpanner { id })),
+        &|| decode_as(text, &schema::GRAPH_DELETE, |id, ()| Ok(Request::GraphDelete { id })),
+        &|| decode_as(text, &schema::STATS, |_, ()| Ok(Request::Stats)),
+        &|| decode_as(text, &schema::PING, |_, ()| Ok(Request::Ping)),
+        &|| decode_as(text, &schema::HELLO, hello),
+    ];
+    decoders
         .iter()
-        .map(|e| e.to_string())
-        .collect::<Vec<_>>()
-        .join(" ");
-    format!(
-        "ok run\nkey {:016x}\nvariant {}\nconverged {}\niterations {}\nlocal-rounds {}\nstar-fallbacks {}\nspanner-size {}\nspanner {}\n",
-        resp.key,
-        resp.kind,
-        u8::from(resp.converged),
-        resp.iterations,
-        resp.local_rounds,
-        resp.star_fallbacks,
-        resp.spanner.len(),
-        ids,
-    )
+        .find_map(|decode| decode())
+        .unwrap_or_else(|| Err(unknown("command", text)))
+}
+
+fn unknown(what: &str, payload: &str) -> JobError {
+    let head = payload.split('\n').next().unwrap_or("").trim_end();
+    JobError::Protocol(format!(
+        "unknown {what} `{head}` (see the README's message reference)"
+    ))
+}
+
+/// Encodes a job result as an `ok run` response payload. Deterministic
+/// in the response: the serving path (cold, cached, coalesced) leaves
+/// no trace in the bytes.
+pub fn encode_run_response(resp: &JobResponse) -> String {
+    schema::RUN_OK.text(resp)
 }
 
 /// Encodes a metrics snapshot as an `ok stats` response payload.
-pub fn encode_stats_response(json: &str) -> String {
-    format!("ok stats\n{json}\n")
+pub(crate) fn encode_stats_response(json: &str) -> String {
+    schema::STATS_OK.text(json)
 }
 
 /// Encodes the `ok ping` response payload.
-pub fn encode_pong_response() -> String {
-    "ok ping\n".to_string()
+pub(crate) fn encode_pong_response() -> String {
+    schema::PONG.text(&())
 }
 
-/// Encodes an error response payload.
-pub fn encode_error_response(message: &str) -> String {
-    // Keep the message single-line so the response stays parseable.
-    format!("err {}\n", message.replace('\n', " "))
+/// Encodes an error response payload (one line: newlines flatten to
+/// spaces).
+pub(crate) fn encode_error_response(message: &str) -> String {
+    schema::ERR.text(&(message.to_string(), String::new()))
 }
 
 /// Encodes a `busy` response payload: the server shed the request at
 /// admission and the client should retry after `retry_after_ms`.
-pub fn encode_busy_response(retry_after_ms: u64) -> String {
-    format!("busy {retry_after_ms}\n")
+pub(crate) fn encode_busy_response(retry_after_ms: u64) -> String {
+    schema::BUSY.text(&retry_after_ms)
 }
 
 /// Encodes an `ok hello` handshake response.
 pub fn encode_hello_response(proto: u64, features: &[&str]) -> String {
-    if features.is_empty() {
-        format!("ok hello\nproto {proto}\nfeatures\n")
-    } else {
-        format!("ok hello\nproto {proto}\nfeatures {}\n", features.join(" "))
-    }
+    schema::HELLO_OK.text(&(proto, features.join(" ")))
 }
 
 /// Encodes an `ok graph-create` response.
-pub fn encode_graph_created(r: &GraphCreated) -> String {
-    format!(
-        "ok graph-create\nid {}\nversion {}\nedges {}\nspanner-size {}\nexisted {}\n",
-        r.id,
-        r.version,
-        r.edges,
-        r.spanner_size,
-        u8::from(r.existed),
-    )
+pub(crate) fn encode_graph_created(r: &GraphCreated) -> String {
+    schema::GRAPH_CREATED.text(r)
 }
 
 /// Encodes an `ok graph-patch` response.
 pub fn encode_graph_patched(r: &GraphPatched) -> String {
-    format!(
-        "ok graph-patch\nid {}\nversion {}\napplied {}\ncommuted {}\nrepaired {}\nrecomputed {}\nedges {}\n",
-        r.id,
-        r.version,
-        r.applied,
-        r.classes.commuted,
-        r.classes.repaired,
-        r.classes.recomputed,
-        r.edges,
-    )
+    schema::GRAPH_PATCHED.text(r)
 }
 
 /// Encodes an `ok graph-get` metadata response.
-pub fn encode_graph_meta(r: &GraphMeta) -> String {
-    let cover = match r.cover_size {
-        Some(n) => n.to_string(),
-        None => "none".to_string(),
-    };
-    format!(
-        "ok graph-get\nid {}\nvariant {}\nversion {}\nvertices {}\nedges {}\nseed {}\ncover-size {cover}\ndebt {}\ncommuted {}\nrepaired {}\nrecomputed {}\n",
-        r.id,
-        r.kind,
-        r.version,
-        r.vertices,
-        r.edges,
-        r.seed,
-        r.debt,
-        r.classes.commuted,
-        r.classes.repaired,
-        r.classes.recomputed,
-    )
+pub(crate) fn encode_graph_meta(r: &GraphMeta) -> String {
+    schema::GRAPH_META.text(r)
 }
 
 /// Encodes an `ok graph-spanner` response: the header, then one `u v`
 /// line per spanner edge. Deterministic for a given delta history.
 pub fn encode_graph_spanner_response(r: &GraphSpannerResult) -> String {
-    let mut out = format!(
-        "ok graph-spanner\nid {}\nversion {}\nkey {:016x}\nvariant {}\nconverged {}\niterations {}\nlocal-rounds {}\nstar-fallbacks {}\nspanner-size {}\nspanner\n",
-        r.id,
-        r.version,
-        r.key,
-        r.kind,
-        u8::from(r.converged),
-        r.iterations,
-        r.local_rounds,
-        r.star_fallbacks,
-        r.edges.len(),
-    );
-    for &(u, v) in &r.edges {
-        out.push_str(&format!("{u} {v}\n"));
-    }
-    out
+    schema::GRAPH_SPANNER_OK.text(r)
 }
 
 /// Encodes an `ok graph-delete` response.
-pub fn encode_graph_deleted(id: &str) -> String {
-    format!("ok graph-delete\nid {id}\n")
+pub(crate) fn encode_graph_deleted(id: &str) -> String {
+    schema::GRAPH_DELETED.text(id)
 }
 
 /// Decodes a response payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, JobError> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| JobError::Protocol("response is not UTF-8".into()))?;
-    let (head, body) = text.split_once('\n').unwrap_or((text, ""));
-    let head = head.trim_end();
-    if let Some(message) = head.strip_prefix("err ") {
-        return Ok(Response::Error(message.to_string()));
-    }
-    if let Some(ms) = head.strip_prefix("busy ") {
-        let retry_after_ms = parse_u64(ms.trim(), "busy retry hint")?;
-        return Ok(Response::Busy { retry_after_ms });
-    }
-    match head {
-        "ok ping" => Ok(Response::Pong),
-        "ok stats" => Ok(Response::Stats(body.trim_end().to_string())),
-        "ok run" => decode_run_response(body),
-        "ok hello" => decode_hello_response(body),
-        "ok graph-create" => decode_graph_created(body),
-        "ok graph-patch" => decode_graph_patched(body),
-        "ok graph-get" => decode_graph_meta(body),
-        "ok graph-spanner" => decode_graph_spanner(body),
-        "ok graph-delete" => {
-            let id = decode_id_line(body.lines().next().unwrap_or(""))?;
-            Ok(Response::GraphDeleted { id })
-        }
-        other => Err(JobError::Protocol(format!(
-            "unknown response head `{other}`"
-        ))),
-    }
-}
-
-fn decode_hello_response(body: &str) -> Result<Response, JobError> {
-    let mut proto = None;
-    let mut features = None;
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line.split_once(' ').unwrap_or((line, ""));
-        match k {
-            "proto" => proto = Some(parse_u64(v.trim(), "hello proto")?),
-            "features" => {
-                features = Some(v.split_whitespace().map(str::to_string).collect::<Vec<_>>())
-            }
-            other => return Err(JobError::Protocol(format!("unknown field `{other}`"))),
-        }
-    }
-    Ok(Response::Hello {
-        proto: proto.ok_or_else(|| JobError::Protocol("missing `proto` field".into()))?,
-        features: features.unwrap_or_default(),
-    })
-}
-
-/// Collects `key value` body lines into a map, erroring on repeats.
-fn decode_kv_body(body: &str) -> Result<std::collections::HashMap<String, String>, JobError> {
-    let mut fields = std::collections::HashMap::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line.split_once(' ').unwrap_or((line, ""));
-        if fields.insert(k.to_string(), v.trim().to_string()).is_some() {
-            return Err(JobError::Protocol(format!("repeated field `{k}`")));
-        }
-    }
-    Ok(fields)
-}
-
-fn take_field(
-    fields: &mut std::collections::HashMap<String, String>,
-    key: &str,
-) -> Result<String, JobError> {
-    fields
-        .remove(key)
-        .ok_or_else(|| JobError::Protocol(format!("missing `{key}` field")))
-}
-
-fn take_u64(
-    fields: &mut std::collections::HashMap<String, String>,
-    key: &str,
-) -> Result<u64, JobError> {
-    parse_u64(&take_field(fields, key)?, key)
-}
-
-fn take_classes(
-    fields: &mut std::collections::HashMap<String, String>,
-) -> Result<crate::graphs::DeltaClasses, JobError> {
-    Ok(crate::graphs::DeltaClasses {
-        commuted: take_u64(fields, "commuted")?,
-        repaired: take_u64(fields, "repaired")?,
-        recomputed: take_u64(fields, "recomputed")?,
-    })
-}
-
-fn decode_graph_created(body: &str) -> Result<Response, JobError> {
-    let mut f = decode_kv_body(body)?;
-    Ok(Response::GraphCreated(GraphCreated {
-        id: take_field(&mut f, "id")?,
-        version: take_u64(&mut f, "version")?,
-        edges: narrow_usize(take_u64(&mut f, "edges")?, "edges")?,
-        spanner_size: narrow_usize(take_u64(&mut f, "spanner-size")?, "spanner-size")?,
-        existed: parse_flag(&take_field(&mut f, "existed")?, "existed")?,
-    }))
-}
-
-fn decode_graph_patched(body: &str) -> Result<Response, JobError> {
-    let mut f = decode_kv_body(body)?;
-    Ok(Response::GraphPatched(GraphPatched {
-        id: take_field(&mut f, "id")?,
-        version: take_u64(&mut f, "version")?,
-        applied: narrow_usize(take_u64(&mut f, "applied")?, "applied")?,
-        classes: take_classes(&mut f)?,
-        edges: narrow_usize(take_u64(&mut f, "edges")?, "edges")?,
-    }))
-}
-
-fn decode_graph_meta(body: &str) -> Result<Response, JobError> {
-    let mut f = decode_kv_body(body)?;
-    let cover = take_field(&mut f, "cover-size")?;
-    let cover_size = if cover == "none" {
-        None
-    } else {
-        Some(narrow_usize(
-            parse_u64(&cover, "cover-size")?,
-            "cover-size",
-        )?)
+    let hello = |_, (proto, features): (u64, String)| {
+        let features = features.split_whitespace().map(String::from).collect();
+        Ok(Response::Hello { proto, features })
     };
-    Ok(Response::GraphMeta(GraphMeta {
-        id: take_field(&mut f, "id")?,
-        kind: take_field(&mut f, "variant")?
-            .parse::<VariantKind>()
-            .map_err(JobError::Protocol)?,
-        version: take_u64(&mut f, "version")?,
-        vertices: narrow_usize(take_u64(&mut f, "vertices")?, "vertices")?,
-        edges: narrow_usize(take_u64(&mut f, "edges")?, "edges")?,
-        seed: take_u64(&mut f, "seed")?,
-        cover_size,
-        debt: narrow_usize(take_u64(&mut f, "debt")?, "debt")?,
-        classes: take_classes(&mut f)?,
-    }))
-}
-
-fn decode_graph_spanner(body: &str) -> Result<Response, JobError> {
-    // The header is `key value` lines up to the bare `spanner` line;
-    // everything after is `u v` edge lines.
-    let (header, edge_lines) = body.split_once("\nspanner\n").ok_or_else(|| {
-        JobError::Protocol("missing `spanner` section in graph-spanner response".into())
-    })?;
-    let mut f = decode_kv_body(header)?;
-    let size = narrow_usize(take_u64(&mut f, "spanner-size")?, "spanner-size")?;
-    let mut edges = Vec::with_capacity(size);
-    for line in edge_lines.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (u, v) = line
-            .split_once(' ')
-            .ok_or_else(|| JobError::Protocol(format!("malformed spanner edge `{line}`")))?;
-        edges.push((
-            narrow_usize(
-                parse_u64(u.trim(), "spanner edge endpoint")?,
-                "spanner edge endpoint",
-            )?,
-            narrow_usize(
-                parse_u64(v.trim(), "spanner edge endpoint")?,
-                "spanner edge endpoint",
-            )?,
-        ));
-    }
-    if edges.len() != size {
-        return Err(JobError::Protocol(format!(
-            "spanner-size {size} does not match {} listed edges",
-            edges.len()
-        )));
-    }
-    Ok(Response::GraphSpanner(GraphSpannerResult {
-        id: take_field(&mut f, "id")?,
-        version: take_u64(&mut f, "version")?,
-        key: u64::from_str_radix(&take_field(&mut f, "key")?, 16)
-            .map_err(|_| JobError::Protocol("invalid key".into()))?,
-        kind: take_field(&mut f, "variant")?
-            .parse::<VariantKind>()
-            .map_err(JobError::Protocol)?,
-        converged: parse_flag(&take_field(&mut f, "converged")?, "converged")?,
-        iterations: take_u64(&mut f, "iterations")?,
-        local_rounds: take_u64(&mut f, "local-rounds")?,
-        star_fallbacks: take_u64(&mut f, "star-fallbacks")?,
-        edges,
-    }))
-}
-
-fn decode_run_response(body: &str) -> Result<Response, JobError> {
-    let mut key = None;
-    let mut kind = None;
-    let mut converged = None;
-    let mut iterations = None;
-    let mut local_rounds = None;
-    let mut star_fallbacks = None;
-    let mut spanner_size = None;
-    let mut spanner = None;
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = match line.split_once(' ') {
-            Some(pair) => pair,
-            // `spanner ` with an empty id list splits to a bare key.
-            None if line == "spanner" => ("spanner", ""),
-            None => {
-                return Err(JobError::Protocol(format!(
-                    "malformed response line `{line}`"
-                )))
-            }
-        };
-        let v = v.trim();
-        match k {
-            "key" => {
-                key = Some(
-                    u64::from_str_radix(v, 16)
-                        .map_err(|_| JobError::Protocol(format!("invalid key `{v}`")))?,
-                )
-            }
-            "variant" => kind = Some(v.parse::<VariantKind>().map_err(JobError::Protocol)?),
-            "converged" => converged = Some(parse_flag(v, "converged")?),
-            "iterations" => iterations = Some(parse_u64(v, "iterations")?),
-            "local-rounds" => local_rounds = Some(parse_u64(v, "local-rounds")?),
-            "star-fallbacks" => star_fallbacks = Some(parse_u64(v, "star-fallbacks")?),
-            "spanner-size" => {
-                spanner_size = Some(narrow_usize(parse_u64(v, "spanner-size")?, "spanner-size")?)
-            }
-            "spanner" => {
-                spanner = Some(
-                    v.split_whitespace()
-                        .map(|f| {
-                            parse_u64(f, "spanner id").and_then(|x| narrow_usize(x, "spanner id"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
-            }
-            other => return Err(JobError::Protocol(format!("unknown field `{other}`"))),
-        }
-    }
-    let missing = |what: &str| JobError::Protocol(format!("missing `{what}` field"));
-    let spanner = spanner.ok_or_else(|| missing("spanner"))?;
-    let size = spanner_size.ok_or_else(|| missing("spanner-size"))?;
-    if spanner.len() != size {
-        return Err(JobError::Protocol(format!(
-            "spanner-size {size} does not match {} listed ids",
-            spanner.len()
-        )));
-    }
-    Ok(Response::Run(JobResponse {
-        key: key.ok_or_else(|| missing("key"))?,
-        kind: kind.ok_or_else(|| missing("variant"))?,
-        spanner,
-        iterations: iterations.ok_or_else(|| missing("iterations"))?,
-        local_rounds: local_rounds.ok_or_else(|| missing("local-rounds"))?,
-        converged: converged.ok_or_else(|| missing("converged"))?,
-        star_fallbacks: star_fallbacks.ok_or_else(|| missing("star-fallbacks"))?,
-    }))
+    #[rustfmt::skip]
+    let decoders: [Decoder<Response>; 11] = [
+        &|| decode_as(text, &schema::RUN_OK, |_, r| Ok(Response::Run(r))),
+        &|| decode_as(text, &schema::ERR, |_, (m, _)| Ok(Response::Error(m))),
+        &|| decode_as(text, &schema::BUSY, |_, ms| Ok(Response::Busy { retry_after_ms: ms })),
+        &|| decode_as(text, &schema::GRAPH_PATCHED, |_, r| Ok(Response::GraphPatched(r))),
+        &|| decode_as(text, &schema::GRAPH_SPANNER_OK, |_, r| Ok(Response::GraphSpanner(r))),
+        &|| decode_as(text, &schema::GRAPH_CREATED, |_, r| Ok(Response::GraphCreated(r))),
+        &|| decode_as(text, &schema::GRAPH_META, |_, r| Ok(Response::GraphMeta(r))),
+        &|| decode_as(text, &schema::GRAPH_DELETED, |_, id| Ok(Response::GraphDeleted { id })),
+        &|| decode_as(text, &schema::STATS_OK, |_, json| Ok(Response::Stats(json))),
+        &|| decode_as(text, &schema::PONG, |_, ()| Ok(Response::Pong)),
+        &|| decode_as(text, &schema::HELLO_OK, hello),
+    ];
+    decoders
+        .iter()
+        .find_map(|decode| decode())
+        .unwrap_or_else(|| Err(unknown("response head", text)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsa_graphs::{EdgeWeights, Graph};
+    use crate::graphs::EdgeRole;
+    use crate::schema::{MAX_SHARDS, MIN_VERTEX_ALLOWANCE};
+    use dsa_core::dist::{EngineConfig, VariantInstance, VariantKind};
+    use dsa_graphs::{EdgeSet, EdgeWeights, Graph};
+    use std::time::Duration;
 
     fn roundtrip_spec(spec: &JobSpec) -> JobSpec {
         let encoded = encode_request(spec);
@@ -1250,9 +453,10 @@ mod tests {
             other => panic!("expected run request, got {other:?}"),
         }
         // Everything at or below the cap passes through untouched.
-        assert_eq!(decode_shards(0), 0);
-        assert_eq!(decode_shards(8), 8);
-        assert_eq!(decode_shards(MAX_SHARDS), MAX_SHARDS as usize);
+        for shards in [0, 8, MAX_SHARDS as usize] {
+            spec.config.num_shards = shards;
+            assert_eq!(roundtrip_spec(&spec).config.num_shards, shards);
+        }
     }
 
     #[test]

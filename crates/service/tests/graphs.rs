@@ -791,3 +791,70 @@ fn v1_clients_are_still_served_by_a_v2_server() {
 
     server.shutdown();
 }
+
+#[test]
+fn http_graph_create_strips_execution_policy_like_tcp() {
+    // Shards are execution policy, not part of a graph's definition:
+    // both clients drop them from the create they send, so the two
+    // creates are one definition and the second finds the first.
+    let service = Arc::new(Service::new(&ServiceConfig::default()));
+    let server = Server::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind tcp");
+    let http = HttpServer::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind http");
+    let mut spec = GraphSpec {
+        id: "wide".to_string(),
+        instance: variant_instances(5).remove(0),
+        config: EngineConfig::seeded(5),
+    };
+    spec.config.num_shards = 8;
+    let mut hc = HttpClient::connect(http.addr()).expect("http connect");
+    let created = hc.graph_create(&spec).expect("HTTP create with shards");
+    assert!(!created.existed);
+    let mut tcp = Client::connect(server.addr()).expect("tcp connect");
+    let again = tcp.graph_create(&spec).expect("TCP create with shards");
+    assert!(again.existed, "the two clients sent different definitions");
+    http.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn http_graph_patch_refuses_an_insert_after_a_delete() {
+    // A JSON patch body applies its inserts before its deletes, so it
+    // cannot carry `- u v` then `+ u v`: the HTTP client refuses the
+    // batch instead of sending a reordered one. A text frame keeps the
+    // order, so the TCP client applies it.
+    let service = Arc::new(Service::new(&ServiceConfig::default()));
+    let server = Server::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind tcp");
+    let http = HttpServer::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind http");
+    let instance = variant_instances(6).remove(0);
+    let (u, v) = {
+        let first = Mirror::of(&instance).recs[0];
+        (first.0, first.1)
+    };
+    let spec = GraphSpec {
+        id: "order".to_string(),
+        instance,
+        config: EngineConfig::seeded(6),
+    };
+    let mut tcp = Client::connect(server.addr()).expect("tcp connect");
+    tcp.graph_create(&spec).expect("create");
+    let ops = [
+        DeltaOp::Delete { u, v },
+        DeltaOp::Insert {
+            u,
+            v,
+            weight: None,
+            role: None,
+        },
+    ];
+    let mut hc = HttpClient::connect(http.addr()).expect("http connect");
+    match hc.graph_patch("order", &ops) {
+        Err(JobError::Protocol(m)) => assert!(m.contains("split"), "{m}"),
+        other => panic!("HTTP sent a reordered patch: {other:?}"),
+    }
+    let patched = tcp
+        .graph_patch("order", &ops)
+        .expect("TCP applies the batch in order");
+    assert_eq!((patched.version, patched.applied), (2, 2));
+    http.shutdown();
+    server.shutdown();
+}
