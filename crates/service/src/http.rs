@@ -463,7 +463,7 @@ fn route(
             None,
             error_body("method_not_allowed", "use GET for /v1/metrics"),
         ),
-        ("/healthz", "GET") => (200, None, None, "{\"status\":\"ok\"}".to_string()),
+        ("/healthz", "GET") => (200, None, None, schema::PONG.json(&())),
         ("/healthz", _) => (
             405,
             Some("GET"),

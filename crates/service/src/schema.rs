@@ -129,10 +129,8 @@ const fn req<T: ?Sized, D>(text: &'static str, json: &'static str, ty: Ty<T, D>)
 
 const fn opt<T: ?Sized, D>(text: &'static str, json: &'static str, ty: Ty<T, D>) -> Field<T, D> {
     Field {
-        text,
-        json,
         optional: true,
-        ty,
+        ..req(text, json, ty)
     }
 }
 
@@ -278,6 +276,9 @@ impl<T: ?Sized, D: Default> Message<T, D> {
             }
             let i = self.position(key, |f| f.text)?;
             let section = self.fields.get(i).is_some_and(|f| f.ty.is_section());
+            if section && !value.is_empty() {
+                return Err(proto(format!("`{key}` opens a section and takes no value")));
+            }
             store(
                 &mut raws,
                 i,
@@ -416,7 +417,7 @@ enum Raw<'a> {
 impl<'a> Raw<'a> {
     fn u64(self, name: &str) -> Result<u64, JobError> {
         match self {
-            Raw::Text(s) => s.parse().ok(),
+            Raw::Text(s) => s.trim().parse().ok(),
             Raw::Json(j) => j.as_u64(),
         }
         .ok_or_else(|| invalid(name, "a non-negative integer"))
@@ -1003,10 +1004,10 @@ mod messages {
     pub(crate) static HELLO: Message<u64> =
         Message::new(Layout::Inline, "hello v", &[req("proto", "", U64(|p| *p, |d, p| *d = p))]);
 
-    /// `stats v1` (HTTP: `GET /v1/metrics`).
+    /// `stats v1` / `GET /v1/metrics`.
     pub(crate) static STATS: Message<()> = Message::new(Layout::Lines, "stats v1", &[]);
 
-    /// `ping v1` (HTTP: `GET /healthz`).
+    /// `ping v1` / `GET /healthz`.
     pub(crate) static PING: Message<()> = Message::new(Layout::Lines, "ping v1", &[]);
 
     /// `ok run` / the `POST /v1/jobs` 200 body: a pure function of the
@@ -1091,8 +1092,10 @@ mod messages {
     pub(crate) static STATS_OK: Message<str, String> =
         Message::new(Layout::Inline, "ok stats\n", &[req("snapshot", "", Str(|s| s, |d, x| *d = x))]);
 
-    /// `ok ping`.
-    pub(crate) static PONG: Message<()> = Message::new(Layout::Lines, "ok ping", &[]);
+    /// `ok ping` / the `GET /healthz` body.
+    pub(crate) static PONG: Message<()> = Message::new(Layout::Lines, "ok ping", &[
+        req("", "status", Str(|_| "ok", |_, _| {})),
+    ]);
 
     /// `busy <ms>`: shed at admission (HTTP: 429 with `Retry-After`);
     /// retrying after the hint is safe.
