@@ -222,18 +222,15 @@ impl<T: ?Sized, D: Default> Message<T, D> {
 
     /// Renders `value` as a JSON object.
     pub(crate) fn json(&self, value: &T) -> String {
-        let mut pairs = Vec::with_capacity(self.fields.len());
-        let mut push = |field: &Field<T, D>| {
-            if let Some(v) = field.ty.value(value).filter(|_| !field.json.is_empty()) {
-                pairs.push((field.json.to_string(), v));
-            }
+        let ordered: Vec<&Field<T, D>> = match self.json_order {
+            [] => self.fields.iter().collect(),
+            order => order.iter().filter_map(|&i| self.fields.get(i)).collect(),
         };
-        if self.json_order.is_empty() {
-            self.fields.iter().for_each(&mut push);
-        } else {
-            let ordered = self.json_order.iter().filter_map(|&i| self.fields.get(i));
-            ordered.for_each(&mut push);
-        }
+        let pairs = ordered
+            .into_iter()
+            .filter(|f| !f.json.is_empty())
+            .filter_map(|f| Some((f.json.to_string(), f.ty.value(value)?)))
+            .collect();
         Json::Obj(pairs).encode()
     }
 
