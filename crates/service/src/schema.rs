@@ -200,6 +200,11 @@ impl<T: ?Sized, D: Default> Message<T, D> {
             let _ = writeln!(out, "{ID} {id}");
         }
         for field in self.fields.iter().filter(|f| !f.text.is_empty()) {
+            if let Graph(get, _) = field.ty {
+                let _ = writeln!(out, "{}", field.text);
+                out.push_str(&edge_list(get(value)));
+                continue;
+            }
             let Some(v) = field.ty.value(value) else {
                 continue;
             };
@@ -380,27 +385,23 @@ fn write_text(v: &Json, out: &mut String) {
     }
 }
 
-/// Writes a section's rows, one line each. The job graph is the
-/// `dsa_graphs::io` edge list: its `# n <count>` header, then its edges.
+/// Writes a section's rows, one line each.
 fn write_rows(v: &Json, out: &mut String) {
-    match v {
-        Json::Arr(rows) => {
-            for row in rows {
-                write_text(row, out);
-                out.push('\n');
-            }
+    for row in v.as_arr().unwrap_or_default() {
+        write_text(row, out);
+        out.push('\n');
+    }
+}
+
+/// The job graph as a `dsa_graphs::io` edge list: its `# n <count>`
+/// header, then one `u v` (`u v w`) line per edge.
+fn edge_list(instance: &VariantInstance) -> String {
+    match instance {
+        VariantInstance::Undirected { graph } | VariantInstance::ClientServer { graph, .. } => {
+            gio::to_edge_list(graph, None)
         }
-        Json::Obj(graph) => {
-            for (key, member) in graph {
-                if !matches!(member, Json::Arr(_)) {
-                    let _ = write!(out, "# {key} ");
-                    write_text(member, out);
-                    out.push('\n');
-                }
-                write_rows(member, out);
-            }
-        }
-        _ => {}
+        VariantInstance::Weighted { graph, weights } => gio::to_edge_list(graph, Some(weights)),
+        VariantInstance::Directed { graph } => gio::to_directed_edge_list(graph),
     }
 }
 
